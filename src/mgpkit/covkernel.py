@@ -186,8 +186,9 @@ def cross_cov_block(
     if pi.size != xa.shape[1]:
         raise ValueError("point dimension does not match roughness parameters")
     harm = 2.0 * pi * pj / (pi + pj)
-    d = xa[:, None, :] - xb[None, :, :]
-    expo = np.exp(-np.einsum("abk,k->ab", d * d, harm))
+    d2 = xa[:, None, :] - xb[None, :, :]
+    d2 *= d2  # squared in place: one (n_a, n_b, l) temporary per call, not two
+    expo = np.exp(-np.einsum("abk,k->ab", d2, harm))
     norm = float(np.prod(((pi + pj) / 2.0 * (1.0 / pi + 1.0 / pj) / 2.0) ** 0.25))
     return sigma.sigma[i] * sigma.sigma[j] * t.t[i, j] * expo / norm
 

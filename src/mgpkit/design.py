@@ -7,10 +7,10 @@ units through :func:`scale_design` with a list of :class:`InputSpec`.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,7 @@ class DesignMatrix:
 
     def min_distance(self) -> float:
         """Minimum pairwise Euclidean distance between design points."""
-        d = self.points[:, None, :] - self.points[None, :, :]
-        dist = np.sqrt((d ** 2).sum(axis=-1))
-        iu = np.triu_indices(self.n, k=1)
-        return float(dist[iu].min())
+        return float(pdist(self.points).min())
 
 
 @dataclass(frozen=True)
@@ -218,7 +215,10 @@ def write_design_csv(path, d: DesignMatrix, specs: list[InputSpec], unit: bool =
 
 
 def read_design_csv(path, specs: list[InputSpec]) -> DesignMatrix:
-    """Read a design CSV (unit or physical, detected from the header prefix)."""
+    """Read a design CSV (unit or physical, detected from the header prefix).
+
+    Points outside the input ranges are rejected, not clipped.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -238,4 +238,4 @@ def read_design_csv(path, specs: list[InputSpec]) -> DesignMatrix:
         )
     if not is_unit:
         arr = unscale_points(arr, specs)
-    return DesignMatrix(np.clip(arr, 0.0, 1.0))
+    return DesignMatrix(arr)

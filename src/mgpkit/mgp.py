@@ -206,26 +206,23 @@ def _blkdiag(blocks: list) -> np.ndarray:
     return out
 
 
-def _chol_with_jitter(a: np.ndarray):
-    """Lower Cholesky factor, escalating diagonal jitter on failure."""
-    scale = float(np.mean(np.diag(a)))
+def _factor(params: MgpParams, data: Dataset):
+    """Lower Cholesky factor of the point-level covariance of replicate means,
+    Cz = M*C + nugget*I, and the diagonal jitter it needed (escalated on failure).
+    """
+    c = cov_matrix(data.x, params.sigma, params.phi, params.t, nugget=0.0)
+    cz = data.reps * c + params.nugget * np.eye(data.n_points)
+    scale = float(np.mean(np.diag(cz)))
     jitter = 0.0
     while True:
         try:
-            return cholesky(a + jitter * np.eye(a.shape[0]), lower=True), jitter
+            return cholesky(cz + jitter * np.eye(cz.shape[0]), lower=True), jitter
         except LinAlgError:
             jitter = 1e-10 * scale if jitter == 0.0 else jitter * 10.0
             if jitter > 1e-6 * scale:
                 raise NonPositiveDefiniteError(
                     "covariance matrix is not positive definite (jitter escalation failed)"
                 )
-
-
-def _collapsed_system(params: MgpParams, data: Dataset):
-    """Point-level covariance of replicate means: Cz = M*C + nugget*I."""
-    c = cov_matrix(data.x, params.sigma, params.phi, params.t, nugget=0.0)
-    cz = data.reps * c + params.nugget * np.eye(data.n_points)
-    return cz
 
 
 def penalized_loglik(params: MgpParams, data: Dataset, basis: RegressionBasis) -> float:
@@ -237,8 +234,7 @@ def penalized_loglik(params: MgpParams, data: Dataset, basis: RegressionBasis) -
     m, n, n_pts = data.reps, data.n_total, data.n_points
     if m > 1 and params.nugget <= 0.0:
         raise ValueError("replicated data requires a positive nugget")
-    cz = _collapsed_system(params, data)
-    chol_l, _ = _chol_with_jitter(cz)
+    chol_l, _ = _factor(params, data)
     ybar = np.concatenate(data.point_means())
     resid = ybar - _f_points(data, basis) @ params.beta_concat()
     w = solve_triangular(chol_l, resid, lower=True)
@@ -395,6 +391,22 @@ class FittedModel:
         return predict(self, x0)
 
 
+def _condition(params: MgpParams, data: Dataset, basis: RegressionBasis) -> FittedModel:
+    """Model conditioned on ``data`` at given parameters, in the units of ``data``."""
+    chol_l, jitter = _factor(params, data)
+    resid = np.concatenate(data.point_means()) - _f_points(data, basis) @ params.beta_concat()
+    return FittedModel(
+        params=params,
+        data=data,
+        basis=basis,
+        y_mean=np.zeros(data.k),
+        y_scale=np.ones(data.k),
+        chol=chol_l,
+        alpha=data.reps * cho_solve((chol_l, True), resid),
+        diagnostics={"jitter": jitter},
+    )
+
+
 def _fit_once(data, basis, lam, config, start=None, support=None) -> FittedModel:
     """One restart of block-coordinate ascent on standardized data."""
     k, l, m_reps = data.k, data.l, data.reps
@@ -445,14 +457,9 @@ def _fit_once(data, basis, lam, config, start=None, support=None) -> FittedModel
         )
         theta = res.x
 
-    prev_obj = -np.inf
-    n_iters = 0
-    for _ in range(config.max_rounds):
-        # beta step at current covariance
-        p = params_at(theta, beta)
-        cz = _collapsed_system(p, data)
-        chol_l, _ = _chol_with_jitter(cz)
+    def beta_step(th):
         # the collapsed system scales y and F by sqrt(M); lam is unchanged
+        chol_l, _ = _factor(params_at(th, beta), data)
         if support is None:
             bfull = gls_beta_l1(chol_l, np.sqrt(m_reps) * f_pts, np.sqrt(m_reps) * ybar, lam)
         else:
@@ -460,7 +467,12 @@ def _fit_once(data, basis, lam, config, start=None, support=None) -> FittedModel
             bfull[support] = gls_beta_l1(
                 chol_l, np.sqrt(m_reps) * f_pts[:, support], np.sqrt(m_reps) * ybar, lam
             )
-        beta = np.split(bfull, beta_split)
+        return np.split(bfull, beta_split)
+
+    prev_obj = -np.inf
+    n_iters = 0
+    for _ in range(config.max_rounds):
+        beta = beta_step(theta)
         # covariance step at current beta
         res = minimize(
             neg_ll_per_obs,
@@ -473,29 +485,18 @@ def _fit_once(data, basis, lam, config, start=None, support=None) -> FittedModel
         n_iters += int(res.nit)
         obj = -neg_ll(theta)
         if obj - prev_obj < config.tol * max(1.0, abs(obj)):
-            prev_obj = obj
             break
         prev_obj = obj
 
-    params = params_at(theta, beta)
-    cz = _collapsed_system(params, data)
-    chol_l, jitter = _chol_with_jitter(cz)
-    resid = ybar - f_pts @ params.beta_concat()
-    alpha = m_reps * cho_solve((chol_l, True), resid)
-    return FittedModel(
-        params=params,
-        data=data,
-        basis=basis,
-        y_mean=np.zeros(k),
-        y_scale=np.ones(k),
-        chol=chol_l,
-        alpha=alpha,
-        diagnostics={
-            "loglik": float(prev_obj),
-            "iterations": n_iters,
-            "jitter": jitter,
-        },
-    )
+    # the rounds end on a covariance step: solve beta at the returned covariance
+    params = params_at(theta, beta_step(theta))
+    model = _condition(params, data, basis)
+    model.diagnostics = {
+        "loglik": float(penalized_loglik(params, data, basis)),
+        "iterations": n_iters,
+        **model.diagnostics,
+    }
+    return model
 
 
 def _standardize(data: Dataset):
@@ -614,9 +615,7 @@ def _select_lambda(model0: FittedModel, config: FitConfig):
     index array); ties prefer the sparser support.
     """
     data = model0.data  # standardized
-    p = model0.params
-    cz = _collapsed_system(p, data)
-    chol_l, _ = _chol_with_jitter(cz)
+    chol_l, _ = _factor(model0.params, data)
     f_pts = _f_points(data, model0.basis)
     ybar = np.concatenate(data.point_means())
     s = np.sqrt(data.reps)
@@ -667,35 +666,41 @@ def fit_independent(
 # Prediction
 
 
+# query rows per block of predict_batch: bounds the (K*rows) x (K*n) cross-covariance
+PREDICT_BLOCK_ROWS = 128
+
+
 def predict(model: FittedModel, x0: np.ndarray) -> Prediction:
     """Predictive mean and simple-kriging standard deviation at one point."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    data, p = model.data, model.params
+    mean, sd = predict_batch(model, x0[None, :])
     extrapolated = bool(np.any(x0 < 0.0) or np.any(x0 > 1.0))
-    m_reps = data.reps
-    means = np.empty(data.k)
-    sds = np.empty(data.k)
-    for k_out in range(data.k):
-        r = np.concatenate(
-            [
-                cross_cov_block(x0[None, :], data.x[j], k_out, j, p.sigma, p.phi, p.t)[0]
-                for j in range(data.k)
-            ]
-        )
-        trend = float(model.basis.evaluate(x0[None, :])[0] @ p.beta[k_out])
-        mean_std = trend + float(r @ model.alpha)
-        v = solve_triangular(model.chol, r, lower=True)
-        var_std = p.sigma.sigma[k_out] ** 2 + p.nugget - m_reps * float(v @ v)
-        means[k_out] = model.y_mean[k_out] + model.y_scale[k_out] * mean_std
-        sds[k_out] = model.y_scale[k_out] * np.sqrt(max(0.0, var_std))
-    return Prediction(mean=means, sd=sds, extrapolated=extrapolated)
+    return Prediction(mean=mean[0], sd=sd[0], extrapolated=extrapolated)
 
 
 def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
-    """Means and sds at many points: returns (n x K, n x K) arrays."""
+    """Means and sds at many points: returns (n x K, n x K) arrays.
+
+    Rows go in blocks of b: row o*b + i of the cross-covariance r pairs output
+    o at query row i with every training point, so one triangular solve with
+    K*b right-hand sides gives every variance of the block.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    preds = [predict(model, row) for row in x]
-    return np.array([p.mean for p in preds]), np.array([p.sd for p in preds])
+    data, p = model.data, model.params
+    k, t = data.k, p.t  # p.t rebuilds T from the angles on every access
+    beta = np.column_stack(p.beta)
+    means = np.empty((x.shape[0], k))
+    sds = np.empty((x.shape[0], k))
+    for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
+        xb = x[lo : lo + PREDICT_BLOCK_ROWS]
+        r = np.block([[cross_cov_block(xb, data.x[j], o, j, p.sigma, p.phi, t) for j in range(k)]
+                      for o in range(k)])
+        mean_std = model.basis.evaluate(xb) @ beta + (r @ model.alpha).reshape(k, -1).T
+        v = solve_triangular(model.chol, r.T, lower=True)
+        var_std = p.sigma.sigma ** 2 + p.nugget - data.reps * (v * v).sum(axis=0).reshape(k, -1).T
+        means[lo : lo + len(xb)] = model.y_mean + model.y_scale * mean_std
+        sds[lo : lo + len(xb)] = model.y_scale * np.sqrt(np.maximum(var_std, 0.0))
+    return means, sds
 
 
 def rmse(model, test: Dataset) -> np.ndarray:
@@ -771,19 +776,8 @@ def model_from_json(text: str) -> FittedModel:
         nugget=float(pp["nugget"]),
         lam=float(pp["lambda"]),
     )
-    basis = RegressionBasis(doc["basis"])
-    cz = _collapsed_system(params, data)
-    chol_l, _ = _chol_with_jitter(cz)
-    ybar = np.concatenate(data.point_means())
-    resid = ybar - _f_points(data, basis) @ params.beta_concat()
-    alpha = data.reps * cho_solve((chol_l, True), resid)
-    return FittedModel(
-        params=params,
-        data=data,
-        basis=basis,
-        y_mean=np.array(doc["standardization"]["y_mean"]),
-        y_scale=np.array(doc["standardization"]["y_scale"]),
-        chol=chol_l,
-        alpha=alpha,
-        diagnostics=doc.get("diagnostics", {}),
-    )
+    model = _condition(params, data, RegressionBasis(doc["basis"]))
+    model.y_mean = np.array(doc["standardization"]["y_mean"])
+    model.y_scale = np.array(doc["standardization"]["y_scale"])
+    model.diagnostics = doc.get("diagnostics", {})
+    return model

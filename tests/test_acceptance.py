@@ -148,15 +148,9 @@ def test_criterion_4_covariance_validity():
 
 
 def _manual_model(params, data, basis):
-    from mgpkit.mgp import FittedModel, _chol_with_jitter, _collapsed_system, _f_points
-    from scipy.linalg import cho_solve
+    from mgpkit.mgp import _condition
 
-    cz = _collapsed_system(params, data)
-    chol_l, _ = _chol_with_jitter(cz)
-    resid = np.concatenate(data.point_means()) - _f_points(data, basis) @ params.beta_concat()
-    alpha = data.reps * cho_solve((chol_l, True), resid)
-    return FittedModel(params=params, data=data, basis=basis, y_mean=np.zeros(data.k),
-                       y_scale=np.ones(data.k), chol=chol_l, alpha=alpha)
+    return _condition(params, data, basis)
 
 
 def test_criterion_5_kriging_correctness():

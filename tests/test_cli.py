@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mgpkit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from mgpkit.plantsim import DEFAULT_SPECS
 
 
 def run(argv):
@@ -168,6 +169,17 @@ class TestPredict:
         bad.write_text('{"version": "other"}')
         unit, _ = make_design(workdir, n=4, out="pts")
         assert run(["predict", "--model", str(bad), "--points", str(unit)]) == EXIT_DATA
+
+    def test_out_of_range_point_is_data_error(self, workdir):
+        model = make_model(workdir)
+        _, phys = make_design(workdir, n=5, seed=3, out="pts")
+        rows = [r.split(",") for r in phys.read_text().splitlines()]
+        rows[2][0] = repr(DEFAULT_SPECS[0].upper + 1.0)
+        phys.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        out = workdir / "pred.csv"
+        assert run(["predict", "--model", str(model), "--points", str(phys),
+                    "--out", str(out)]) == EXIT_DATA
+        assert not out.exists()
 
 
 class TestCompare:

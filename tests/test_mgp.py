@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
+from scipy.linalg import block_diag, cholesky
 
 from mgpkit.covkernel import (
     CrossCorrAngles,
@@ -19,6 +19,7 @@ from mgpkit.mgp import (
     FitError,
     MgpParams,
     RegressionBasis,
+    _condition,
     build_f_matrix,
     fit,
     fit_independent,
@@ -219,6 +220,24 @@ class TestFitAndPredict:
             penalized_loglik(model.params, model.data, model.basis), rel=1e-12, abs=1e-12
         )
 
+    def test_beta_is_gls_at_returned_covariance(self):
+        # the rounds end on a covariance step; the returned trend must be the
+        # GLS solution at the returned covariance, not at the one before it
+        rng = np.random.default_rng(17)
+        x = lhs(15, 2, seed=17).points
+        clean = [np.sin(3 * x[:, 0]) + x[:, 1], np.cos(2 * x[:, 1]) - x[:, 0]]
+        ys = [np.repeat(c, 2) + 0.1 * rng.normal(size=30) for c in clean]
+        data = Dataset(UNIT_SPECS_2D, [x, x], ys, 2, ["a", "b"])
+        model = fit(data, RegressionBasis("linear"), FitConfig(lam=0.0, restarts=1))
+        p, sdata = model.params, model.data
+        c = cov_matrix(sdata.x, p.sigma, p.phi, p.t)
+        chol = cholesky(sdata.reps * c + p.nugget * np.eye(sdata.n_points), lower=True)
+        f = block_diag(*[model.basis.evaluate(xi) for xi in sdata.x])
+        s = np.sqrt(sdata.reps)
+        expected = gls_beta_l1(chol, s * f, s * np.concatenate(sdata.point_means()), 0.0)
+        np.testing.assert_allclose(p.beta_concat(), expected, rtol=0, atol=1e-10)
+        assert model.diagnostics["loglik"] == penalized_loglik(p, sdata, model.basis)
+
     def test_interpolation_with_zero_nugget(self):
         # constructed model (not fitted): kriging must interpolate exactly
         rng = np.random.default_rng(7)
@@ -360,6 +379,54 @@ class TestFitAndPredict:
             assert abs(g_central - g_fine) <= 1e-4 * max(1.0, abs(g_fine))
 
 
+class TestBatchedPrediction:
+    def test_matches_dense_kriging_oracle(self, monkeypatch):
+        # K=3 with replicates, a correlated T, a linear trend and non-trivial
+        # standardization, queried over several row blocks
+        monkeypatch.setattr("mgpkit.mgp.PREDICT_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(16)
+        k, l, reps = 3, 2, 3
+        xs = [rng.uniform(size=(n, l)) for n in (6, 8, 7)]
+        ys = [rng.normal(size=len(xi) * reps) for xi in xs]
+        data = Dataset(UNIT_SPECS_2D, xs, ys, reps, ["a", "b", "c"])
+        basis = RegressionBasis("linear")
+        params = make_params(k, l, 3, rng, nugget=0.2)
+        params.omega = CrossCorrAngles(np.array([0.6, 2.4, 0.9]), k)
+        assert np.min(np.abs(params.t.t[np.tril_indices(k, -1)])) > 0.3
+        model = _condition(params, data, basis)
+        model.y_mean = np.array([10.0, -3.0, 0.5])
+        model.y_scale = np.array([2.0, 0.3, 5.0])
+        outside = np.array([[-0.1, 0.5], [1.15, 0.3], [0.4, 1.3]])
+        xq = np.vstack([rng.uniform(size=(22, l)), outside])
+        nq = len(xq)
+        mean, sd = predict_batch(model, xq)
+
+        # joint prior over the stacked (repeated) training points and the
+        # query points of every output, conditioned by dense solves
+        stacked = [np.vstack([np.repeat(xi, reps, axis=0), xq]) for xi in xs]
+        full = cov_matrix(stacked, params.sigma, params.phi, params.t)
+        ends = np.cumsum([len(s) for s in stacked])
+        train = np.concatenate([np.arange(e - len(s), e - nq) for e, s in zip(ends, stacked)])
+        r_tt = full[np.ix_(train, train)] + params.nugget * np.eye(len(train))
+        resid = np.concatenate(ys) - build_f_matrix(data, basis) @ params.beta_concat()
+        for i in range(k):
+            query = np.arange(ends[i] - nq, ends[i])
+            r_qt = full[np.ix_(query, train)]
+            m_std = basis.evaluate(xq) @ params.beta[i] + r_qt @ np.linalg.solve(r_tt, resid)
+            v_std = (np.diag(full[np.ix_(query, query)]) + params.nugget
+                     - np.sum(r_qt * np.linalg.solve(r_tt, r_qt.T).T, axis=1))
+            np.testing.assert_allclose(
+                mean[:, i], model.y_mean[i] + model.y_scale[i] * m_std, rtol=0, atol=1e-9
+            )
+            np.testing.assert_allclose(
+                sd[:, i], model.y_scale[i] * np.sqrt(v_std), rtol=0, atol=1e-9
+            )
+        preds = [predict(model, x0) for x0 in xq]
+        np.testing.assert_allclose([pr.mean for pr in preds], mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([pr.sd for pr in preds], sd, rtol=0, atol=1e-12)
+        assert [pr.extrapolated for pr in preds] == [False] * 22 + [True] * 3
+
+
 class TestRmse:
     def _simple_model(self, y_const):
         rng = np.random.default_rng(14)
@@ -415,20 +482,4 @@ class TestSerialization:
 
 def _manual_model(params, data, basis):
     """FittedModel from given parameters without running the optimizer."""
-    from mgpkit.mgp import FittedModel, _chol_with_jitter, _collapsed_system, _f_points
-    from scipy.linalg import cho_solve
-
-    cz = _collapsed_system(params, data)
-    chol_l, _ = _chol_with_jitter(cz)
-    ybar = np.concatenate(data.point_means())
-    resid = ybar - _f_points(data, basis) @ params.beta_concat()
-    alpha = data.reps * cho_solve((chol_l, True), resid)
-    return FittedModel(
-        params=params,
-        data=data,
-        basis=basis,
-        y_mean=np.zeros(data.k),
-        y_scale=np.ones(data.k),
-        chol=chol_l,
-        alpha=alpha,
-    )
+    return _condition(params, data, basis)
