@@ -15,7 +15,6 @@ from .covkernel import (
     angles_to_corr,
     corr_to_angles,
     cov_matrix,
-    cross_cov,
 )
 from .design import (
     DesignMatrix,

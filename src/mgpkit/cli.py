@@ -14,13 +14,11 @@ import numpy as np
 
 from . import __version__
 from .design import (
-    DesignMatrix,
     InputSpec,
     maximin_lhs,
     morris_trajectories,
     read_design_csv,
     scale_design,
-    unscale_points,
     write_design_csv,
 )
 from .mgp import (
@@ -40,7 +38,7 @@ from .plantsim import (
     OUTPUT_NAMES,
     PlantConfig,
     generate_dataset,
-    plant_response,
+    plant_response_batch,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -85,6 +83,27 @@ def _load_config_file(path) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             values[key.replace("-", "_")] = val.strip("\"'")
     return values
+
+
+def _apply_config(parser: argparse.ArgumentParser, values: dict) -> None:
+    """Make each config key the default of the flag it names in every subcommand.
+
+    Keys are flag names with '-' read as '_' (``specs_file`` sets
+    ``--specs-file``, ``lambda`` sets ``--lambda``); argparse converts the
+    values with each flag's own type.  A key that names no flag is a DataError.
+    """
+    used = set()
+    for sub in parser._subparsers._group_actions[0].choices.values():
+        flags = {opt[2:].replace("-", "_"): a for a in sub._actions
+                 if not isinstance(a, argparse._HelpAction) for opt in a.option_strings}
+        hits = {key: flags[key] for key in values if key in flags}
+        sub.set_defaults(**{a.dest: values[key] for key, a in hits.items()})
+        for a in hits.values():
+            a.required = False
+        used.update(hits)
+    unknown = sorted(set(values) - used)
+    if unknown:
+        raise DataError(f"unknown config key(s): {', '.join(unknown)}")
 
 
 def _log(cmd: str, **kv) -> None:
@@ -230,7 +249,7 @@ def cmd_sensitivity(args) -> int:
         hi = np.array([s.upper for s in specs])
 
         def f(u):
-            return plant_response(lo + np.asarray(u) * (hi - lo), cfg)[0]
+            return plant_response_batch(lo + u * (hi - lo), cfg)
 
         names = list(OUTPUT_NAMES)
     else:
@@ -240,7 +259,7 @@ def cmd_sensitivity(args) -> int:
         names = list(model.data.output_names)
 
         def f(u):
-            return model.predict(np.asarray(u)).mean
+            return predict_batch(model, u)[0]
 
     trajectories = morris_trajectories(args.r, len(specs), delta=args.delta, seed=args.seed)
     result = elementary_effects(f, trajectories, specs, output_names=names)
@@ -337,16 +356,10 @@ def main(argv=None) -> int:
     if "--config" in argv:
         try:
             cfg_path = argv[argv.index("--config") + 1]
-            values = _load_config_file(cfg_path)
+            _apply_config(parser, _load_config_file(cfg_path))
         except (IndexError, OSError, DataError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: _coerce(v) for k, v in values.items() if k in known})
-            for a in action._actions:
-                if a.required and a.dest in values:
-                    a.required = False
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -359,15 +372,6 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-def _coerce(v: str):
-    for cast in (int, float):
-        try:
-            return cast(v)
-        except ValueError:
-            pass
-    return v
 
 
 if __name__ == "__main__":

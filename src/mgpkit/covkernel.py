@@ -135,39 +135,6 @@ def corr_to_angles(t: CrossCorrMatrix) -> CrossCorrAngles:
     return CrossCorrAngles(np.array(angles), t.k)
 
 
-def _check_phi_pair(phi_i: np.ndarray, phi_j: np.ndarray, d: np.ndarray) -> None:
-    if phi_i.shape != d.shape or phi_j.shape != d.shape:
-        raise ValueError("point dimension does not match roughness parameters")
-
-
-def cross_cov(
-    xi: np.ndarray,
-    xj: np.ndarray,
-    i: int,
-    j: int,
-    sigma: MarginalSds,
-    phi: RoughnessParams,
-    t: CrossCorrMatrix,
-) -> float:
-    """Nonseparable cross-covariance between output i at xi and output j at xj.
-
-    cov = sigma_i sigma_j T_ij * exp(-d' H d) / det-normalizer, where H is the
-    coordinate-wise harmonic mean of the two outputs' precisions and the
-    normalizer is prod_k [AM(phi_k) * AM(1/phi_k)]^(1/4) (1 when i == j).
-    """
-    xi = np.asarray(xi, dtype=float).ravel()
-    xj = np.asarray(xj, dtype=float).ravel()
-    if xi.shape != xj.shape:
-        raise ValueError("points must share a dimension")
-    d = xi - xj
-    pi, pj = phi.phi[i], phi.phi[j]
-    _check_phi_pair(pi, pj, d)
-    harm = 2.0 * pi * pj / (pi + pj)
-    expo = float(np.exp(-np.sum(harm * d * d)))
-    norm = float(np.prod(((pi + pj) / 2.0 * (1.0 / pi + 1.0 / pj) / 2.0) ** 0.25))
-    return float(sigma.sigma[i] * sigma.sigma[j] * t.t[i, j] * expo / norm)
-
-
 def cross_cov_block(
     xa: np.ndarray,
     xb: np.ndarray,
@@ -177,7 +144,13 @@ def cross_cov_block(
     phi: RoughnessParams,
     t: CrossCorrMatrix,
 ) -> np.ndarray:
-    """Vectorized cross_cov over two point sets: (n_a x l), (n_b x l) -> (n_a x n_b)."""
+    """Nonseparable cross-covariance between output i on xa and output j on xb.
+
+    For point sets (n_a x l) and (n_b x l) returns the (n_a x n_b) matrix
+    sigma_i sigma_j T_ij * exp(-d' H d) / det-normalizer, where d = xa - xb,
+    H is the coordinate-wise harmonic mean of the two outputs' precisions and
+    the normalizer is prod_k [AM(phi_k) * AM(1/phi_k)]^(1/4) (1 when i == j).
+    """
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     if xa.shape[1] != xb.shape[1]:
@@ -189,8 +162,7 @@ def cross_cov_block(
     d2 = xa[:, None, :] - xb[None, :, :]
     d2 *= d2  # squared in place: one (n_a, n_b, l) temporary per call, not two
     expo = np.exp(-np.einsum("abk,k->ab", d2, harm))
-    norm = float(np.prod(((pi + pj) / 2.0 * (1.0 / pi + 1.0 / pj) / 2.0) ** 0.25))
-    return sigma.sigma[i] * sigma.sigma[j] * t.t[i, j] * expo / norm
+    return sigma.sigma[i] * sigma.sigma[j] * t.t[i, j] * mean_normalizer(pi, pj) * expo
 
 
 def det_normalizer(phi_i: np.ndarray, phi_j: np.ndarray) -> float:

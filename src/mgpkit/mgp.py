@@ -387,9 +387,6 @@ class FittedModel:
             out.append(bo)
         return out
 
-    def predict(self, x0: np.ndarray) -> Prediction:
-        return predict(self, x0)
-
 
 def _condition(params: MgpParams, data: Dataset, basis: RegressionBasis) -> FittedModel:
     """Model conditioned on ``data`` at given parameters, in the units of ``data``."""
@@ -435,7 +432,7 @@ def _fit_once(data, basis, lam, config, start=None, support=None) -> FittedModel
     def neg_ll(th):
         try:
             return -penalized_loglik(params_at(th, beta), data, basis)
-        except (NonPositiveDefiniteError, FloatingPointError, ValueError):
+        except NonPositiveDefiniteError:
             return 1e12
 
     # L-BFGS-B starts from an identity Hessian, so its first step is the raw

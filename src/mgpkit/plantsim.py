@@ -79,15 +79,22 @@ def plant_response(x: np.ndarray, config: PlantConfig = None):
     """
     config = config or PlantConfig()
     x = np.asarray(x, dtype=float).ravel()
-    if x.size != len(config.specs):
-        raise ValueError(f"expected {len(config.specs)} inputs, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite plant input")
+    y = plant_response_batch(x[None, :], config)[0]
     lo = np.array([s.lower for s in config.specs])
     hi = np.array([s.upper for s in config.specs])
-    flag = bool(np.any(x < lo) or np.any(x > hi))
+    return y, bool(np.any(x < lo) or np.any(x > hi))
 
-    p, t, mdot, freq, blades, t_boiler = x
+
+def plant_response_batch(x: np.ndarray, config: PlantConfig = None) -> np.ndarray:
+    """Plant powers for each row of an (n x 6) physical-unit matrix -> (n x 3)."""
+    config = config or PlantConfig()
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != len(config.specs):
+        raise ValueError(f"expected {len(config.specs)} inputs, got {x.shape[1]}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite plant input")
+
+    p, t, mdot, freq, blades, t_boiler = x.T
     g = _blade_efficiency(blades)
     p_exh = _exhaust_pressure(p, t)
     c = config.coupling
@@ -110,13 +117,7 @@ def plant_response(x: np.ndarray, config: PlantConfig = None):
         * (t_boiler / 600.0) ** 2
         * (1.0 + 0.05 * c * (p_exh / _P_EXHAUST_REF - 1.0))
     )
-    return np.array([hpt, ipt, lpt]), flag
-
-
-def plant_response_batch(x: np.ndarray, config: PlantConfig = None) -> np.ndarray:
-    """plant_response over rows of a physical-unit matrix -> (n x 3)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return np.array([plant_response(row, config)[0] for row in x])
+    return np.column_stack([hpt, ipt, lpt])
 
 
 def generate_dataset(design: DesignMatrix, config: PlantConfig = None, reps: int = 1) -> Dataset:

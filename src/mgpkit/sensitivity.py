@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-
 @dataclass(frozen=True)
 class EEResult:
     """Elementary-effect statistics per (output, input).
@@ -38,27 +37,26 @@ class EEResult:
 def elementary_effects(f, trajectories: list, specs: list, output_names: list = None) -> EEResult:
     """Compute EE statistics of a unit-cube-input model over trajectories.
 
-    ``f`` maps a unit-cube point (length l) to a vector of K outputs; any
-    physical scaling happens inside f.  Each trajectory contributes one
-    effect per input: (f(after) - f(before)) / signed_step.
+    ``f`` maps an m x l array of unit-cube points to an m x K array of
+    outputs (a vector when K = 1); any physical scaling happens inside f.
+    It is called once per trajectory, on that trajectory's (l+1) x l points.
+    Each trajectory contributes one effect per input:
+    (f(after) - f(before)) / signed_step.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
     l = trajectories[0].l
     if len(specs) != l:
         raise ValueError(f"trajectories have dimension {l} but {len(specs)} input specs given")
-    effects = None  # r x K x l
     rows = []
     for t_i, traj in enumerate(trajectories):
         try:
-            vals = np.array([np.atleast_1d(np.asarray(f(pt), dtype=float)) for pt in traj.points])
+            vals = np.asarray(f(traj.points), dtype=float).reshape(l + 1, -1)
         except Exception as exc:
             raise RuntimeError(f"model evaluation failed on trajectory {t_i}: {exc}") from exc
-        k = vals.shape[1]
-        per_input = np.empty((k, l))
         steps = traj.signed_steps()
-        for move, v in enumerate(traj.varied_index):
-            per_input[:, v] = (vals[move + 1] - vals[move]) / steps[move]
+        per_input = np.empty((vals.shape[1], l))
+        per_input[:, list(traj.varied_index)] = ((vals[1:] - vals[:-1]) / steps[:, None]).T
         rows.append(per_input)
     effects = np.array(rows)  # r x K x l
     r = effects.shape[0]

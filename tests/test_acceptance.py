@@ -41,7 +41,6 @@ from mgpkit.plantsim import (
     OUTPUT_NAMES,
     PlantConfig,
     generate_dataset,
-    plant_response,
     plant_response_batch,
 )
 from mgpkit.sensitivity import elementary_effects, rank_inputs
@@ -239,7 +238,7 @@ def test_criterion_7_morris_screening():
     specs3 = [InputSpec(n, 0.0, 1.0) for n in ("a", "b", "c")]
     ts = morris_trajectories(10, 3, delta=0.3, seed=0)
     res = elementary_effects(
-        lambda x: np.array([4.0 * x[0] - 2.0 * x[1] + 0.5 * x[2]]), ts, specs3
+        lambda x: 4.0 * x[:, 0] - 2.0 * x[:, 1] + 0.5 * x[:, 2], ts, specs3
     )
     affine_ok = bool(
         np.allclose(res.mu_star[0], [4.0, 2.0, 0.5], atol=1e-10)
@@ -251,7 +250,7 @@ def test_criterion_7_morris_screening():
     hi = np.array([s.upper for s in DEFAULT_SPECS])
 
     def f(u):
-        return plant_response(lo + np.asarray(u) * (hi - lo), cfg)[0]
+        return plant_response_batch(lo + u * (hi - lo), cfg)
 
     pressure_first = True
     for seed in range(10):

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from mgpkit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from mgpkit.design import morris_trajectories
+from mgpkit.mgp import model_from_json, predict
 from mgpkit.plantsim import DEFAULT_SPECS
+from mgpkit.sensitivity import parse_ee_report
 
 
 def run(argv):
@@ -210,6 +213,24 @@ class TestSensitivity:
         assert run(["sensitivity", "--target", str(model), "--r", "3",
                     "--out", str(workdir / "sm")]) == EXIT_OK
         assert (workdir / "sm_ee.csv").exists()
+        # the statistics equal those of one-point predictions along the same
+        # trajectories (the CLI defaults: delta 0.3, seed 0)
+        fitted = model_from_json(model.read_text())
+        effects = []
+        for traj in morris_trajectories(3, 6, delta=0.3, seed=0):
+            means = np.array([predict(fitted, pt).mean for pt in traj.points])
+            steps = traj.signed_steps()
+            per_input = np.empty((3, 6))
+            for move, v in enumerate(traj.varied_index):
+                per_input[:, v] = (means[move + 1] - means[move]) / steps[move]
+            effects.append(per_input)
+        effects = np.array(effects)
+        got = parse_ee_report((workdir / "sm_ee.csv").read_text())
+        np.testing.assert_allclose(got.mu, effects.mean(axis=0), rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(got.mu_star, np.abs(effects).mean(axis=0),
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(got.sigma_ee, effects.std(axis=0, ddof=1),
+                                   rtol=1e-10, atol=1e-10)
 
     def test_rerun_byte_identical(self, workdir):
         run(["sensitivity", "--r", "4", "--out", str(workdir / "a")])
@@ -239,6 +260,31 @@ class TestConfigFile:
 
     def test_missing_config_is_data_error(self, workdir):
         assert run(["--config", str(workdir / "nope.cfg"), "design", "--n", "4"]) == EXIT_DATA
+
+    def test_config_key_names_its_flag(self, workdir, capsys):
+        # `lambda` is the flag --lambda, whose argparse dest is `lam`
+        data = make_dataset(workdir)
+        cfg = workdir / "run.cfg"
+        cfg.write_text("lambda = 1e9\n")
+        assert run(["--config", str(cfg), "fit", "--data", str(data), "--restarts", "1",
+                    "--out", str(workdir / "m.json")]) == EXIT_OK
+        assert "beta sparsity (x=nonzero): 0 0 0" in capsys.readouterr().out
+
+    def test_dashed_config_key_names_its_flag(self, workdir):
+        specs = workdir / "specs.csv"
+        specs.write_text("a,0,1\nb,0,1\n")
+        cfg = workdir / "run.cfg"
+        cfg.write_text("specs-file = " + str(specs) + "\n")
+        assert run(["--config", str(cfg), "design", "--n", "4", "--restarts", "2",
+                    "--out", str(workdir / "d")]) == EXIT_OK
+        assert (workdir / "d_phys.csv").read_text().splitlines()[0] == "a,b"
+
+    def test_unknown_config_key_is_data_error(self, workdir):
+        cfg = workdir / "run.cfg"
+        cfg.write_text("restartz = 3\n")
+        assert run(["--config", str(cfg), "design", "--n", "4",
+                    "--out", str(workdir / "d")]) == EXIT_DATA
+        assert not (workdir / "d_unit.csv").exists()
 
     def test_malformed_config_is_data_error(self, workdir):
         cfg = workdir / "run.cfg"

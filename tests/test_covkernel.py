@@ -9,7 +9,6 @@ from mgpkit.covkernel import (
     angles_to_corr,
     corr_to_angles,
     cov_matrix,
-    cross_cov,
     cross_cov_block,
     det_normalizer,
     n_angles,
@@ -24,6 +23,20 @@ TABLE_T = np.array(
         [0.0575, 0.0453, 1.0],
     ]
 )
+
+
+def kernel_at(xi, xj, i, j, sigma, phi, t):
+    """cross_cov_block on the one-row point sets {xi} and {xj}."""
+    return cross_cov_block(np.atleast_2d(xi), np.atleast_2d(xj), i, j, sigma, phi, t)[0, 0]
+
+
+def docstring_kernel(xi, xj, i, j, sigma, phi, t):
+    """The formula of cross_cov_block's docstring at one pair of points, term by term."""
+    quad, norm = 0.0, 1.0
+    for a, b, u, v in zip(phi.phi[i], phi.phi[j], xi, xj):
+        quad += 2.0 * a * b / (a + b) * (u - v) ** 2
+        norm *= ((a + b) / 2.0 * (1.0 / a + 1.0 / b) / 2.0) ** 0.25
+    return sigma.sigma[i] * sigma.sigma[j] * t.t[i, j] * np.exp(-quad) / norm
 
 
 def random_angles(k, rng):
@@ -103,13 +116,13 @@ class TestCrossCov:
 
     def test_same_output_same_point_gives_variance(self):
         x = np.array([0.2, 0.9])
-        v = cross_cov(x, x, 0, 0, self.sigma, self.phi, self.t)
+        v = kernel_at(x, x, 0, 0, self.sigma, self.phi, self.t)
         assert abs(v - 1.5 ** 2) < 1e-15
 
     def test_equal_roughness_collapses_normalizer(self):
         phi = RoughnessParams(np.array([[2.0, 2.0], [2.0, 2.0]]))
         x = np.array([0.1, 0.4])
-        v = cross_cov(x, x, 0, 1, self.sigma, phi, self.t)
+        v = kernel_at(x, x, 0, 1, self.sigma, phi, self.t)
         assert abs(v - 1.5 * 0.7 * 0.5) < 1e-14
 
     def test_closed_form_value(self):
@@ -117,15 +130,15 @@ class TestCrossCov:
         # 0.5 / [ (2.5)*(0.625) ]^(1/4) = 0.5 * 1.5625**-0.25
         sigma = MarginalSds(np.array([1.0, 1.0]))
         phi = RoughnessParams(np.array([[1.0], [4.0]]))
-        v = cross_cov(np.array([0.3]), np.array([0.3]), 0, 1, sigma, phi, self.t)
+        v = kernel_at(np.array([0.3]), np.array([0.3]), 0, 1, sigma, phi, self.t)
         assert abs(v - 0.5 * 1.5625 ** -0.25) < 1e-14
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             x1, x2 = rng.uniform(size=2), rng.uniform(size=2)
-            a = cross_cov(x1, x2, 0, 1, self.sigma, self.phi, self.t)
-            b = cross_cov(x2, x1, 1, 0, self.sigma, self.phi, self.t)
+            a = kernel_at(x1, x2, 0, 1, self.sigma, self.phi, self.t)
+            b = kernel_at(x2, x1, 1, 0, self.sigma, self.phi, self.t)
             assert abs(a - b) < 1e-15
 
     def test_diagonal_reduces_to_squared_exponential(self):
@@ -134,7 +147,7 @@ class TestCrossCov:
             x1, x2 = rng.uniform(size=2), rng.uniform(size=2)
             d = x1 - x2
             expected = 1.5 ** 2 * np.exp(-np.sum(self.phi.phi[0] * d * d))
-            got = cross_cov(x1, x2, 0, 0, self.sigma, self.phi, self.t)
+            got = kernel_at(x1, x2, 0, 0, self.sigma, self.phi, self.t)
             assert abs(got - expected) < 1e-14
 
     def test_cross_correlation_bound(self):
@@ -142,7 +155,7 @@ class TestCrossCov:
         for _ in range(100):
             phi = RoughnessParams(rng.uniform(0.1, 10.0, size=(2, 3)))
             x = rng.uniform(size=3)
-            v = cross_cov(x, x, 0, 1, self.sigma, phi, self.t)
+            v = kernel_at(x, x, 0, 1, self.sigma, phi, self.t)
             assert abs(v) <= 1.5 * 0.7 * 0.5 + 1e-14
 
     def test_normalizer_forms_agree(self):
@@ -154,7 +167,7 @@ class TestCrossCov:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            cross_cov(np.array([0.1]), np.array([0.1, 0.2]), 0, 1, self.sigma, self.phi, self.t)
+            kernel_at(np.array([0.1]), np.array([0.1, 0.2]), 0, 1, self.sigma, self.phi, self.t)
 
     def test_block_matches_scalar(self):
         rng = np.random.default_rng(10)
@@ -162,7 +175,8 @@ class TestCrossCov:
         block = cross_cov_block(xa, xb, 0, 1, self.sigma, self.phi, self.t)
         for i in range(3):
             for j in range(4):
-                assert abs(block[i, j] - cross_cov(xa[i], xb[j], 0, 1, self.sigma, self.phi, self.t)) < 1e-14
+                expected = docstring_kernel(xa[i], xb[j], 0, 1, self.sigma, self.phi, self.t)
+                assert abs(block[i, j] - expected) < 1e-14
 
 
 class TestCovMatrix:

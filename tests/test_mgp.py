@@ -238,6 +238,24 @@ class TestFitAndPredict:
         np.testing.assert_allclose(p.beta_concat(), expected, rtol=0, atol=1e-10)
         assert model.diagnostics["loglik"] == penalized_loglik(p, sdata, model.basis)
 
+    def test_likelihood_value_error_is_not_swallowed(self, monkeypatch):
+        # only a failed factorization is a 1e12 penalty for the search; a
+        # ValueError signals a bug and must reach the caller (K = 1, because
+        # the informed start of K > 1 fits catches ValueError from its prefits)
+        x = lhs(10, 1, seed=4).points
+        data = Dataset(UNIT_SPECS_1D, [x], [np.sin(6 * x[:, 0])], 1, ["y"])
+        calls = []
+
+        def raise_once(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("bug")
+            return penalized_loglik(*args)
+
+        monkeypatch.setattr("mgpkit.mgp.penalized_loglik", raise_once)
+        with pytest.raises(ValueError, match="bug"):
+            fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=1))
+
     def test_interpolation_with_zero_nugget(self):
         # constructed model (not fitted): kriging must interpolate exactly
         rng = np.random.default_rng(7)

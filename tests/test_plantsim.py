@@ -74,6 +74,16 @@ class TestPlantResponse:
         with pytest.raises(ValueError):
             plant_response(x, NOISELESS)
 
+    def test_batch_rejects_non_finite_row(self):
+        pts = np.tile(MIDPOINT, (4, 1))
+        pts[2, 3] = np.nan
+        with pytest.raises(ValueError):
+            plant_response_batch(pts, NOISELESS)
+
+    def test_batch_rejects_wrong_width(self):
+        with pytest.raises(ValueError):
+            plant_response_batch(np.tile(MIDPOINT[:5], (3, 1)), NOISELESS)
+
     def test_batch_matches_scalar(self):
         pts = scale_design(maximin_lhs(8, 6, seed=0, restarts=3), DEFAULT_SPECS)
         batch = plant_response_batch(pts, NOISELESS)

@@ -16,8 +16,8 @@ SPECS_3 = [InputSpec(n, 0.0, 1.0) for n in ("a", "b", "c")]
 
 
 def affine(x):
-    # slopes 4, -2, 0.5 plus an irrelevant constant
-    return np.array([4.0 * x[0] - 2.0 * x[1] + 0.5 * x[2] + 7.0])
+    # slopes 4, -2, 0.5 plus an irrelevant constant; K = 1, so a vector
+    return 4.0 * x[:, 0] - 2.0 * x[:, 1] + 0.5 * x[:, 2] + 7.0
 
 
 class TestElementaryEffects:
@@ -30,20 +30,22 @@ class TestElementaryEffects:
 
     def test_interaction_gives_positive_sigma(self):
         ts = morris_trajectories(20, 2, delta=0.25, seed=1)
-        res = elementary_effects(lambda x: np.array([x[0] * x[1]]), ts, SPECS_3[:2])
+        res = elementary_effects(lambda x: x[:, 0] * x[:, 1], ts, SPECS_3[:2])
         assert res.sigma_ee[0, 0] > 1e-3
         assert res.sigma_ee[0, 1] > 1e-3
 
     def test_sign_cancellation_shows_in_mu_star(self):
         # d/dx of (x-0.5)^2 changes sign across the cube: mu ~ 0, mu_star > 0
         ts = morris_trajectories(50, 1, delta=0.4, seed=2)
-        res = elementary_effects(lambda x: np.array([(x[0] - 0.5) ** 2]), ts, SPECS_3[:1])
+        res = elementary_effects(lambda x: (x[:, 0] - 0.5) ** 2, ts, SPECS_3[:1])
         assert abs(res.mu[0, 0]) < res.mu_star[0, 0]
         assert res.mu_star[0, 0] > 0.05
 
     def test_multi_output_shape(self):
         ts = morris_trajectories(4, 3, delta=0.3, seed=3)
-        res = elementary_effects(lambda x: np.array([x[0], x[1], x[2], 1.0]), ts, SPECS_3)
+        res = elementary_effects(
+            lambda x: np.column_stack([x[:, 0], x[:, 1], x[:, 2], np.ones(len(x))]), ts, SPECS_3
+        )
         assert res.mu.shape == (4, 3)
         assert res.k == 4 and res.l == 3
         assert res.r == 4
@@ -72,6 +74,30 @@ class TestElementaryEffects:
 
         with pytest.raises(RuntimeError, match="trajectory 0"):
             elementary_effects(bad, ts, SPECS_3)
+
+    def test_one_call_per_trajectory(self):
+        ts = morris_trajectories(5, 3, delta=0.3, seed=6)
+        seen = []
+
+        def record(x):
+            seen.append(x.copy())
+            return affine(x)
+
+        elementary_effects(record, ts, SPECS_3)
+        assert len(seen) == len(ts)
+        for x, traj in zip(seen, ts):
+            np.testing.assert_array_equal(x, traj.points)
+
+    def test_wrong_output_rows_name_the_trajectory(self):
+        ts = morris_trajectories(3, 3, delta=0.3, seed=7)
+        calls = []
+
+        def short_on_second(x):
+            calls.append(1)
+            return affine(x if len(calls) != 2 else x[:-1])
+
+        with pytest.raises(RuntimeError, match="trajectory 1"):
+            elementary_effects(short_on_second, ts, SPECS_3)
 
 
 class TestRankInputs:
@@ -103,7 +129,7 @@ class TestRankInputs:
 class TestReports:
     def _res(self):
         ts = morris_trajectories(6, 3, delta=0.3, seed=5)
-        f = lambda x: np.array([4 * x[0] - x[1], x[2] ** 2])
+        f = lambda x: np.column_stack([4 * x[:, 0] - x[:, 1], x[:, 2] ** 2])
         return elementary_effects(f, ts, SPECS_3, output_names=["p1", "p2"])
 
     def test_report_round_trip(self):
