@@ -73,11 +73,9 @@ class MorrisTrajectory:
         return diffs[np.arange(self.l), list(self.varied_index)]
 
 
-def lhs(n: int, l: int, seed: int, midpoint: bool = False) -> DesignMatrix:
-    """Latin hypercube sample: one point per axis stratum, per column.
-
-    Within-stratum placement is uniform random unless ``midpoint`` is set,
-    in which case each point sits at its stratum center.
+def lhs(n: int, l: int, seed: int) -> DesignMatrix:
+    """Latin hypercube sample: one point per axis stratum, per column,
+    placed uniformly at random within its stratum.
     """
     if n < 2:
         raise ValueError(f"need at least 2 design points, got {n}")
@@ -87,25 +85,15 @@ def lhs(n: int, l: int, seed: int, midpoint: bool = False) -> DesignMatrix:
     pts = np.empty((n, l))
     for j in range(l):
         perm = rng.permutation(n)
-        u = np.full(n, 0.5) if midpoint else rng.uniform(size=n)
-        pts[:, j] = (perm + u) / n
+        pts[:, j] = (perm + rng.uniform(size=n)) / n
     return DesignMatrix(pts)
 
 
-def maximin_lhs(
-    n: int,
-    l: int,
-    seed: int,
-    restarts: int = 20,
-    exchange_iters: int = 0,
-    midpoint: bool = False,
-) -> DesignMatrix:
+def maximin_lhs(n: int, l: int, seed: int, restarts: int = 20) -> DesignMatrix:
     """Best-of-`restarts` LHS under the maximin inter-point distance criterion.
 
     The first candidate reuses the stream of ``lhs(n, l, seed)``, so
-    ``restarts=1`` (with no exchange) returns exactly that design.  Optional
-    exchange improvement swaps two values within a random column, which
-    preserves the LHS property by construction.
+    ``restarts=1`` returns exactly that design.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -113,29 +101,11 @@ def maximin_lhs(
     best_dist = -np.inf
     for i in range(restarts):
         cand_seed = seed if i == 0 else np.random.SeedSequence((seed, i)).generate_state(1)[0]
-        cand = lhs(n, l, int(cand_seed), midpoint=midpoint)
-        if exchange_iters > 0:
-            cand = _exchange_improve(cand, exchange_iters, np.random.default_rng((seed, i, 0xE)))
+        cand = lhs(n, l, int(cand_seed))
         d = cand.min_distance()
         if d > best_dist:
             best, best_dist = cand, d
     return best
-
-
-def _exchange_improve(d: DesignMatrix, iters: int, rng: np.random.Generator) -> DesignMatrix:
-    pts = d.points.copy()
-    n, l = pts.shape
-    best = d.min_distance()
-    for _ in range(iters):
-        col = rng.integers(l)
-        r1, r2 = rng.choice(n, size=2, replace=False)
-        pts[r1, col], pts[r2, col] = pts[r2, col], pts[r1, col]
-        dist = DesignMatrix(pts).min_distance()
-        if dist > best:
-            best = dist
-        else:
-            pts[r1, col], pts[r2, col] = pts[r2, col], pts[r1, col]
-    return DesignMatrix(pts)
 
 
 def scale_design(d: DesignMatrix, specs: list[InputSpec]) -> np.ndarray:

@@ -250,19 +250,13 @@ def penalized_loglik(params: MgpParams, data: Dataset, basis: RegressionBasis) -
 # L1-penalized generalized least squares
 
 
-def gls_beta_l1(
-    r_chol: np.ndarray,
-    f: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> np.ndarray:
+def gls_beta_l1(r_chol: np.ndarray, f: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Minimize 1/2 (y - F b)' R^-1 (y - F b) + lam*|b|_1.
 
     ``r_chol`` is the lower Cholesky factor of R.  The system is whitened by a
     triangular solve; lam = 0 falls back to the closed-form GLS solution, and
-    lam > 0 runs coordinate descent with soft thresholding.
+    lam > 0 runs coordinate descent with soft thresholding until no
+    coefficient moves by 1e-10 in a sweep (at most 10000 sweeps).
     """
     w = solve_triangular(r_chol, y, lower=True)
     fw = solve_triangular(r_chol, f, lower=True)
@@ -275,7 +269,7 @@ def gls_beta_l1(
     norms = (fw ** 2).sum(axis=0)
     beta = np.zeros(q)
     r = w.copy()  # running residual w - fw @ beta
-    for _ in range(max_iter):
+    for _ in range(10000):
         max_change = 0.0
         for j in range(q):
             if norms[j] == 0.0:
@@ -286,7 +280,7 @@ def gls_beta_l1(
                 r -= (new - beta[j]) * fw[:, j]
                 max_change = max(max_change, abs(new - beta[j]))
                 beta[j] = new
-        if max_change < tol:
+        if max_change < 1e-10:
             break
     return beta
 
@@ -306,14 +300,19 @@ def lambda_max(r_chol: np.ndarray, f: np.ndarray, y: np.ndarray) -> float:
 class FitConfig:
     """Knobs for the block-coordinate maximum-likelihood fit."""
 
-    lam: object = 0.0  # float, or "auto" for holdout-selected penalty
+    lam: object = 0.0  # float, or "auto" for BIC-selected penalty
     restarts: int = 5
-    max_rounds: int = 4
-    cov_maxiter: int = 60
-    tol: float = 1e-5
     seed: int = 0
-    lambda_grid: tuple = (0.0, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)  # x N_total
-    phi_init_range: tuple = (0.1, 100.0)
+
+
+# block-coordinate search: at most _MAX_ROUNDS (beta step, covariance step)
+# rounds of at most _COV_MAXITER L-BFGS-B iterations each; the rounds stop
+# once one raises the log-likelihood by less than _ROUND_TOL relative
+_MAX_ROUNDS = 4
+_COV_MAXITER = 60
+_ROUND_TOL = 1e-5
+_LAMBDA_GRID = (0.0, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)  # x N_total, for lam="auto"
+_PHI_INIT_RANGE = (0.1, 100.0)  # log-uniform phi of the random starts
 
 
 @dataclass
@@ -404,7 +403,7 @@ def _condition(params: MgpParams, data: Dataset, basis: RegressionBasis) -> Fitt
     )
 
 
-def _fit_once(data, basis, lam, config, start=None, support=None) -> FittedModel:
+def _fit_once(data, basis, lam, start=None) -> FittedModel:
     """One restart of block-coordinate ascent on standardized data."""
     k, l, m_reps = data.k, data.l, data.reps
     if start is None:
@@ -414,7 +413,6 @@ def _fit_once(data, basis, lam, config, start=None, support=None) -> FittedModel
     bounds = _theta_bounds(k, l)
     ybar = np.concatenate(data.point_means())
     f_pts = _f_points(data, basis)
-    beta_split = np.cumsum([basis.width(l)] * k)[:-1]
 
     def params_at(theta, beta_list):
         sigma, phi, omega, nugget = _unpack(theta, k, l)
@@ -450,25 +448,19 @@ def _fit_once(data, basis, lam, config, start=None, support=None) -> FittedModel
             frozen[a_i] = (theta[a_i], theta[a_i])
         res = minimize(
             neg_ll_per_obs, theta, method="L-BFGS-B", bounds=frozen,
-            options={"maxiter": config.cov_maxiter},
+            options={"maxiter": _COV_MAXITER},
         )
         theta = res.x
 
     def beta_step(th):
         # the collapsed system scales y and F by sqrt(M); lam is unchanged
         chol_l, _ = _factor(params_at(th, beta), data)
-        if support is None:
-            bfull = gls_beta_l1(chol_l, np.sqrt(m_reps) * f_pts, np.sqrt(m_reps) * ybar, lam)
-        else:
-            bfull = np.zeros(f_pts.shape[1])
-            bfull[support] = gls_beta_l1(
-                chol_l, np.sqrt(m_reps) * f_pts[:, support], np.sqrt(m_reps) * ybar, lam
-            )
-        return np.split(bfull, beta_split)
+        bfull = gls_beta_l1(chol_l, np.sqrt(m_reps) * f_pts, np.sqrt(m_reps) * ybar, lam)
+        return np.split(bfull, k)
 
     prev_obj = -np.inf
     n_iters = 0
-    for _ in range(config.max_rounds):
+    for _ in range(_MAX_ROUNDS):
         beta = beta_step(theta)
         # covariance step at current beta
         res = minimize(
@@ -476,12 +468,12 @@ def _fit_once(data, basis, lam, config, start=None, support=None) -> FittedModel
             theta,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": config.cov_maxiter},
+            options={"maxiter": _COV_MAXITER},
         )
         theta = res.x
         n_iters += int(res.nit)
         obj = -neg_ll(theta)
-        if obj - prev_obj < config.tol * max(1.0, abs(obj)):
+        if obj - prev_obj < _ROUND_TOL * max(1.0, abs(obj)):
             break
         prev_obj = obj
 
@@ -503,20 +495,17 @@ def _standardize(data: Dataset):
     return Dataset(data.specs, data.x, ystd, data.reps, data.output_names), means, scales
 
 
-def fit(
-    data: Dataset,
-    basis: RegressionBasis = None,
-    config: FitConfig = None,
-    _support: np.ndarray = None,
-) -> FittedModel:
+def fit(data: Dataset, basis: RegressionBasis = None, config: FitConfig = None) -> FittedModel:
     """Maximum penalized-likelihood fit of all model parameters.
 
     Alternates an L1-penalized GLS step for the trend coefficients with a
     bounded quasi-Newton step over the covariance parameters (in log/logit
     space); the best of ``config.restarts`` multi-starts wins.  With
-    ``lam="auto"`` the penalty level is chosen on the L1 path by a BIC over
-    support-restricted refits, and the returned model is the λ=0 refit on the
-    selected support (relaxed-lasso style).
+    ``lam="auto"`` the covariance is that of the λ=0 fit; the penalty level
+    and trend support are chosen on the L1 path by a BIC over unpenalized GLS
+    refits on each support at that covariance, and the returned model carries
+    the winning refit (relaxed lasso): ``params.lam`` is 0, and
+    ``diagnostics`` holds the selected ``lambda`` and ``support``.
     """
     basis = basis or RegressionBasis("const")
     config = config or FitConfig()
@@ -528,7 +517,7 @@ def fit(
     rng = np.random.default_rng(config.seed)
     best = None
     errors = []
-    lo, hi = config.phi_init_range
+    lo, hi = _PHI_INIT_RANGE
     k, l = sdata.k, sdata.l
     starts = [None] * config.restarts
     if k > 1:
@@ -536,7 +525,7 @@ def fit(
         # empirical-correlation guess for the angles
         try:
             starts[0] = _informed_start(sdata, basis, config)
-        except (FitError, ValueError):
+        except FitError:
             pass
     for i in range(config.restarts):
         start = starts[i]
@@ -552,7 +541,7 @@ def fit(
                 phi0 = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(k, l)))
                 start = (np.ones(k), phi0, np.full(n_angles(k), np.pi / 2.0), 1e-2)
         try:
-            model = _fit_once(sdata, basis, lam, config, start=start, support=_support)
+            model = _fit_once(sdata, basis, lam, start=start)
         except FitError as exc:
             errors.append(str(exc))
             continue
@@ -569,47 +558,38 @@ def fit(
 
 def _informed_start(sdata: Dataset, basis: RegressionBasis, config: FitConfig):
     """Starting point from per-output univariate fits plus empirical correlation."""
-    k, l = sdata.k, sdata.l
-    sub = FitConfig(
-        lam=0.0,
-        restarts=2,
-        max_rounds=config.max_rounds,
-        cov_maxiter=config.cov_maxiter,
-        tol=config.tol,
-        seed=config.seed,
-    )
-    sigma0 = np.ones(k)
-    phi0 = np.ones((k, l))
-    nuggets = np.full(k, 1e-2)
-    for i in range(k):
-        m = fit(sdata.sub_dataset(i), basis, sub)
-        # sub-fit re-standardizes; undo its scale to stay in sdata units
-        sigma0[i] = m.params.sigma.sigma[0] * m.y_scale[0]
-        phi0[i] = m.params.phi.phi[0]
-        nuggets[i] = m.params.nugget * m.y_scale[0] ** 2
+    k = sdata.k
+    prefits = fit_independent(sdata, basis, replace(config, lam=0.0, restarts=2))
+    # each prefit re-standardizes; undo its scale to stay in sdata units
+    sigma0 = np.array([m.params.sigma.sigma[0] * m.y_scale[0] for m in prefits])
+    phi0 = np.array([m.params.phi.phi[0] for m in prefits])
+    nugget0 = float(np.mean([m.params.nugget * m.y_scale[0] ** 2 for m in prefits]))
     omega0 = np.full(n_angles(k), np.pi / 2.0)
     shapes = {xi.shape for xi in sdata.x}
     if len(shapes) == 1 and all(np.allclose(xi, sdata.x[0]) for xi in sdata.x[1:]):
-        ybars = np.array(sdata.point_means())
-        t_emp = np.corrcoef(ybars)
-        t0 = 0.8 * t_emp + 0.2 * np.eye(k)  # shrink toward I to keep PD margins
-        w, v = np.linalg.eigh((t0 + t0.T) / 2.0)
-        t0 = v @ np.diag(np.clip(w, 1e-6, None)) @ v.T
-        d = np.sqrt(np.diag(t0))
-        t0 = t0 / np.outer(d, d)
-        np.fill_diagonal(t0, 1.0)
-        omega0 = corr_to_angles(CrossCorrMatrix(t0)).angles
-    return sigma0, phi0, omega0, float(np.mean(nuggets))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_emp = np.corrcoef(sdata.point_means())
+        # an output constant over the design has no correlation: keep right angles
+        if np.all(np.isfinite(t_emp)):
+            t0 = 0.8 * t_emp + 0.2 * np.eye(k)  # shrink toward I to keep PD margins
+            w, v = np.linalg.eigh((t0 + t0.T) / 2.0)
+            t0 = v @ np.diag(np.clip(w, 1e-6, None)) @ v.T
+            d = np.sqrt(np.diag(t0))
+            t0 = t0 / np.outer(d, d)
+            np.fill_diagonal(t0, 1.0)
+            omega0 = corr_to_angles(CrossCorrMatrix(t0)).angles
+    return sigma0, phi0, omega0, nugget0
 
 
-def _select_lambda(model0: FittedModel, config: FitConfig):
-    """Pick (lambda, support) on the L1 path by BIC over relaxed refits.
+def _select_lambda(model0: FittedModel):
+    """Pick (lambda, support, beta) on the L1 path by BIC over relaxed refits.
 
     The covariance is held at the unpenalized fit ``model0``; each grid value
     of lambda yields a support via the whitened lasso, the support gets an
-    unrestricted GLS refit, and supports are compared by residual quadratic
-    form plus ``|support| * log(N)``.  Returns the winning (lambda, support
-    index array); ties prefer the sparser support.
+    unpenalized GLS refit, and supports are compared by residual quadratic
+    form plus ``|support| * log(N)``.  Returns the winning lambda, support
+    index array and refit coefficients (zero off the support, concatenated
+    over outputs); ties prefer the sparser support.
     """
     data = model0.data  # standardized
     chol_l, _ = _factor(model0.params, data)
@@ -620,35 +600,35 @@ def _select_lambda(model0: FittedModel, config: FitConfig):
     w_y = solve_triangular(chol_l, ybar, lower=True) * s
     n_tot = data.n_total
     scored = []
-    for g in sorted(config.lambda_grid):
+    for g in sorted(_LAMBDA_GRID):
         lam = g * n_tot
-        beta = gls_beta_l1(np.eye(len(w_y)), w_f, w_y, lam) if lam > 0 else None
-        if beta is None:
-            sup = np.arange(f_pts.shape[1])
+        if lam > 0:
+            sup = np.flatnonzero(gls_beta_l1(np.eye(len(w_y)), w_f, w_y, lam))
         else:
-            sup = np.flatnonzero(beta != 0.0)
+            sup = np.arange(f_pts.shape[1])
         relaxed = np.zeros(f_pts.shape[1])
         if len(sup):
             coef, *_ = np.linalg.lstsq(w_f[:, sup], w_y, rcond=None)
             relaxed[sup] = coef
         bic = float(np.sum((w_y - w_f @ relaxed) ** 2)) + len(sup) * np.log(n_tot)
-        scored.append((bic, len(sup), -lam, tuple(sup)))
-    bic, nnz, neg_lam, sup = min(scored)
-    return -neg_lam, np.array(sup, dtype=int)
+        scored.append(((bic, len(sup), -lam), lam, sup, relaxed))
+    _, lam_sel, support, beta = min(scored, key=lambda entry: entry[0])
+    return lam_sel, support, beta
 
 
 def _fit_auto(data: Dataset, basis: RegressionBasis, config: FitConfig) -> FittedModel:
-    """lam="auto": BIC-selected support on the L1 path, then a relaxed refit."""
-    cfg0 = replace(config, lam=0.0)
-    model0 = fit(data, basis, cfg0)
-    lam_sel, support = _select_lambda(model0, config)
-    if len(support) == model0.params.beta_concat().size:
-        model = model0
-    else:
-        model = fit(data, basis, cfg0, _support=support)
-    model.params.lam = lam_sel
-    model.diagnostics["lambda"] = lam_sel
-    model.diagnostics["support"] = support.tolist()
+    """lam="auto": the lam=0 fit's covariance with the BIC-selected relaxed trend."""
+    model0 = fit(data, basis, replace(config, lam=0.0))
+    lam_sel, support, beta = _select_lambda(model0)
+    params = replace(model0.params, beta=np.split(beta, model0.k))
+    model = _condition(params, model0.data, basis)
+    model.y_mean, model.y_scale = model0.y_mean, model0.y_scale
+    model.diagnostics = {
+        **model0.diagnostics,
+        "loglik": float(penalized_loglik(params, model0.data, basis)),
+        "lambda": lam_sel,
+        "support": support.tolist(),
+    }
     return model
 
 

@@ -270,6 +270,25 @@ class TestConfigFile:
                     "--out", str(workdir / "m.json")]) == EXIT_OK
         assert "beta sparsity (x=nonzero): 0 0 0" in capsys.readouterr().out
 
+    def test_auto_lambda_from_config(self, workdir, capsys):
+        # `lambda = auto` selects the trend support; the written model records
+        # the selection and predicts
+        data = make_dataset(workdir, n=12)
+        cfg = workdir / "run.cfg"
+        cfg.write_text("lambda = auto\n")
+        assert run(["--config", str(cfg), "fit", "--data", str(data), "--basis", "linear",
+                    "--restarts", "1", "--out", str(workdir / "m.json")]) == EXIT_OK
+        doc = json.loads((workdir / "m.json").read_text())
+        diag = doc["diagnostics"]
+        assert doc["params"]["lambda"] == 0.0 and diag["lambda"] >= 0.0
+        beta = np.concatenate(doc["params"]["beta"])
+        assert np.flatnonzero(beta).tolist() == diag["support"]
+        assert f"lambda={diag['lambda']}" in capsys.readouterr().out
+        unit, _ = make_design(workdir, n=5, seed=3, out="pts")
+        assert run(["predict", "--model", str(workdir / "m.json"), "--points", str(unit),
+                    "--out", str(workdir / "pred.csv")]) == EXIT_OK
+        assert len((workdir / "pred.csv").read_text().splitlines()) == 6
+
     def test_dashed_config_key_names_its_flag(self, workdir):
         specs = workdir / "specs.csv"
         specs.write_text("a,0,1\nb,0,1\n")

@@ -46,11 +46,6 @@ class TestLhs:
         b = lhs(4, 2, seed=7)
         np.testing.assert_array_equal(a.points, b.points)
 
-    def test_midpoint_mode(self):
-        d = lhs(5, 2, seed=0, midpoint=True)
-        frac = np.mod(d.points * 5, 1.0)
-        np.testing.assert_allclose(frac, 0.5)
-
     @pytest.mark.parametrize("n,l", [(1, 2), (0, 2), (3, 0)])
     def test_rejects_bad_sizes(self, n, l):
         with pytest.raises(ValueError):
@@ -85,10 +80,6 @@ class TestMaximinLhs:
 
     def test_keeps_lhs_property(self):
         d = maximin_lhs(12, 4, seed=9, restarts=30)
-        assert_lhs_property(d)
-
-    def test_exchange_keeps_lhs_property(self):
-        d = maximin_lhs(12, 3, seed=2, restarts=5, exchange_iters=200)
         assert_lhs_property(d)
 
     def test_rejects_zero_restarts(self):

@@ -20,6 +20,7 @@ from mgpkit.mgp import (
     MgpParams,
     RegressionBasis,
     _condition,
+    _fit_once,
     build_f_matrix,
     fit,
     fit_independent,
@@ -240,21 +241,35 @@ class TestFitAndPredict:
 
     def test_likelihood_value_error_is_not_swallowed(self, monkeypatch):
         # only a failed factorization is a 1e12 penalty for the search; a
-        # ValueError signals a bug and must reach the caller (K = 1, because
-        # the informed start of K > 1 fits catches ValueError from its prefits)
+        # ValueError signals a bug and must reach the caller, also from the
+        # univariate prefits of a K = 2 fit's informed start
         x = lhs(10, 1, seed=4).points
-        data = Dataset(UNIT_SPECS_1D, [x], [np.sin(6 * x[:, 0])], 1, ["y"])
-        calls = []
+        k1 = Dataset(UNIT_SPECS_1D, [x], [np.sin(6 * x[:, 0])], 1, ["y"])
+        k2 = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
+                     ["a", "b"])
+        for data in (k1, k2):
+            calls = []
 
-        def raise_once(*args):
-            calls.append(1)
-            if len(calls) == 1:
-                raise ValueError("bug")
-            return penalized_loglik(*args)
+            def raise_once(*args):
+                calls.append(1)
+                if len(calls) == 1:
+                    raise ValueError("bug")
+                return penalized_loglik(*args)
 
-        monkeypatch.setattr("mgpkit.mgp.penalized_loglik", raise_once)
-        with pytest.raises(ValueError, match="bug"):
-            fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=1))
+            monkeypatch.setattr("mgpkit.mgp.penalized_loglik", raise_once)
+            with pytest.raises(ValueError, match="bug"):
+                fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=1))
+            monkeypatch.undo()
+
+    @pytest.mark.filterwarnings("error")
+    def test_constant_output_fits_without_correlation_guess(self):
+        # a constant output has no empirical correlation: the informed start
+        # keeps right angles instead of building T from NaNs
+        x = lhs(10, 2, seed=5).points
+        ys = [np.sin(4 * x[:, 0]) + x[:, 1], np.full(10, 3.0)]
+        data = Dataset(UNIT_SPECS_2D, [x, x], ys, 1, ["a", "b"])
+        model = fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=1))
+        assert np.isfinite(model.diagnostics["loglik"])
 
     def test_interpolation_with_zero_nugget(self):
         # constructed model (not fitted): kriging must interpolate exactly
@@ -496,6 +511,43 @@ class TestSerialization:
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
             model_from_json('{"version": "other"}')
+
+
+def criterion6_like_data(seed=0):
+    """K=1, 40 points x 3 reps on [0,1]^3 with trend 5 + 3*x1 and noise sd 0.3."""
+    specs = [InputSpec(f"x{j}", 0.0, 1.0) for j in range(3)]
+    rng = np.random.default_rng(seed)
+    x = lhs(40, 3, seed=seed).points
+    y = ((5.0 + 3.0 * x[:, 0])[:, None] + 0.3 * rng.normal(size=(40, 3))).ravel()
+    return Dataset(specs, [x], [y], 3, ["y"])
+
+
+class TestAutoLambda:
+    CONFIG = FitConfig(lam="auto", restarts=1)
+
+    def test_covariance_is_fitted_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _fit_once(*args, **kwargs)
+
+        monkeypatch.setattr("mgpkit.mgp._fit_once", counting)
+        fit(criterion6_like_data(), RegressionBasis("linear"), self.CONFIG)
+        assert len(calls) == 1
+
+    def test_reports_its_own_likelihood_and_selection(self):
+        model = fit(criterion6_like_data(), RegressionBasis("linear"), self.CONFIG)
+        loaded = model_from_json(model_to_json(model))
+        for m in (model, loaded):
+            assert m.diagnostics["loglik"] == penalized_loglik(m.params, m.data, m.basis)
+            # the returned trend is the unpenalized refit on the selected support
+            assert m.params.lam == 0.0
+            assert m.diagnostics["lambda"] > 0.0
+            off = np.ones(m.params.beta_concat().size, dtype=bool)
+            off[m.diagnostics["support"]] = False
+            assert np.all(m.params.beta_concat()[off] == 0.0)
+        assert model.diagnostics["support"] == [0, 1]
 
 
 def _manual_model(params, data, basis):
