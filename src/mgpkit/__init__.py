@@ -19,7 +19,6 @@ from .covkernel import (
 from .design import (
     DesignMatrix,
     InputSpec,
-    MorrisTrajectory,
     lhs,
     maximin_lhs,
     morris_trajectories,
@@ -33,7 +32,6 @@ from .mgp import (
     MgpParams,
     Prediction,
     RegressionBasis,
-    build_f_matrix,
     fit,
     fit_independent,
     gls_beta_l1,
@@ -44,5 +42,5 @@ from .mgp import (
     predict_batch,
     rmse,
 )
-from .plantsim import DEFAULT_SPECS, PlantConfig, generate_dataset, plant_response
+from .plantsim import DEFAULT_SPECS, PlantConfig, generate_dataset, plant_response_batch
 from .sensitivity import EEResult, ee_report, elementary_effects, rank_inputs

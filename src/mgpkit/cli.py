@@ -159,13 +159,16 @@ def _fit_config(args) -> FitConfig:
     return FitConfig(lam=lam, restarts=args.restarts, seed=args.seed)
 
 
+def _print_corr(model, heading: str) -> None:
+    print(heading)
+    for row in model.params.t.t:
+        print("  " + " ".join(f"{v:+.4f}" for v in row))
+
+
 def _print_fit_report(model, name: str) -> None:
-    t = model.params.t.t
     print(f"model={name} loglik={model.diagnostics['loglik']:.6g} "
           f"lambda={model.diagnostics.get('lambda', model.params.lam)}")
-    print("estimated cross-correlation matrix:")
-    for row in t:
-        print("  " + " ".join(f"{v:+.4f}" for v in row))
+    _print_corr(model, "estimated cross-correlation matrix:")
     pattern = ["".join("0" if b == 0.0 else "x" for b in bo) for bo in model.params.beta]
     print(f"beta sparsity (x=nonzero): {' '.join(pattern)}")
 
@@ -228,9 +231,7 @@ def cmd_compare(args) -> int:
     print("output        rmse_mgp      rmse_independent")
     for i, nm in enumerate(train.output_names):
         print(f"{nm:<12} {rmse_mgp[i]:<13.6g} {rmse_ind[i]:.6g}")
-    print("estimated cross-correlation matrix (MGP):")
-    for row in mgp_model.params.t.t:
-        print("  " + " ".join(f"{v:+.4f}" for v in row))
+    _print_corr(mgp_model, "estimated cross-correlation matrix (MGP):")
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -349,21 +350,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_path(argv: list):
+    """The top-level --config value, read as the full parser reads it
+    (``--config=f`` and abbreviations such as ``--conf f`` included)."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    pre.add_argument("command", nargs=argparse.REMAINDER)  # subcommand flags are not ours
+    try:
+        return pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return None  # a malformed --config is left for the full parser to report
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    # pre-scan for --config so its values become flag defaults (flags still win)
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        try:
-            cfg_path = argv[argv.index("--config") + 1]
-            _apply_config(parser, _load_config_file(cfg_path))
-        except (IndexError, OSError, DataError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
     try:
+        # --config is read first so its values become flag defaults (flags still win)
+        cfg_path = _config_path(argv)
+        if cfg_path is not None:
+            _apply_config(parser, _load_config_file(cfg_path))
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        return EXIT_USAGE if exc.code else EXIT_OK
+    except (OSError, DataError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     try:
         return args.func(args)
     except (DataError, ValueError, OSError) as exc:

@@ -192,8 +192,9 @@ def cov_matrix(
 ) -> np.ndarray:
     """Full covariance over K per-output point sets, in output-block order.
 
-    Adds nugget * I; the result is symmetric and (for nugget > 0) positive
-    definite.
+    Adds nugget * I; the result is positive definite for nugget > 0, and
+    exactly symmetric: each block below the diagonal is stored as the
+    transpose of its mirror, and diagonal blocks are symmetric entry by entry.
     """
     if nugget < 0.0:
         raise ValueError(f"nugget must be >= 0, got {nugget}")
@@ -210,4 +211,4 @@ def cov_matrix(
             if j > i:
                 r[offs[j] : offs[j + 1], offs[i] : offs[i + 1]] = block.T
     r += nugget * np.eye(n_total)
-    return (r + r.T) / 2.0
+    return r

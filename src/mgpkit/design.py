@@ -201,6 +201,8 @@ def read_design_csv(path, specs: list[InputSpec]) -> DesignMatrix:
             data.append([float(v) for v in row])
         except ValueError as exc:
             raise ValueError(f"{path}: bad value at row {i}: {exc}") from exc
+    if not data:
+        raise ValueError(f"{path}: design file has no points")
     arr = np.array(data)
     if arr.shape[1] != len(specs):
         raise ValueError(

@@ -9,7 +9,6 @@ residual term.  All likelihood values equal the stacked-data likelihood.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -141,13 +140,6 @@ class Dataset:
     def sub_dataset(self, i: int) -> "Dataset":
         return Dataset(self.specs, [self.x[i]], [self.y[i]], self.reps, [self.output_names[i]])
 
-    def fingerprint(self) -> dict:
-        h = hashlib.sha256()
-        for xi, yi in zip(self.x, self.y):
-            h.update(np.ascontiguousarray(xi).tobytes())
-            h.update(np.ascontiguousarray(yi).tobytes())
-        return {"n_total": self.n_total, "sha256": h.hexdigest()}
-
 
 # ---------------------------------------------------------------------------
 # Parameters
@@ -183,26 +175,18 @@ class MgpParams:
 # Likelihood pieces
 
 
-def build_f_matrix(data: Dataset, basis: RegressionBasis) -> np.ndarray:
-    """Block-diagonal trend matrix over the stacked (replicated) observations."""
-    blocks = [basis.evaluate(np.repeat(xi, data.reps, axis=0)) for xi in data.x]
-    return _blkdiag(blocks)
-
-
 def _f_points(data: Dataset, basis: RegressionBasis) -> np.ndarray:
-    """Block-diagonal trend matrix over design points only (one row per point)."""
-    return _blkdiag([basis.evaluate(xi) for xi in data.x])
+    """Block-diagonal trend matrix over design points only (one row per point).
 
-
-def _blkdiag(blocks: list) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
+    Built by hand: every likelihood evaluation calls this, and
+    ``scipy.linalg.block_diag`` takes about ten times as long.
+    """
+    q = basis.width(data.l)
+    out = np.zeros((data.n_points, data.k * q))
+    r = 0
+    for i, xi in enumerate(data.x):
+        out[r : r + len(xi), i * q : (i + 1) * q] = basis.evaluate(xi)
+        r += len(xi)
     return out
 
 
@@ -321,7 +305,6 @@ class Prediction:
 
     mean: np.ndarray
     sd: np.ndarray
-    extrapolated: bool = False
 
 
 # unconstrained parameter vector layout: [log sigma (K), log phi (K*l),
@@ -651,8 +634,7 @@ def predict(model: FittedModel, x0: np.ndarray) -> Prediction:
     """Predictive mean and simple-kriging standard deviation at one point."""
     x0 = np.asarray(x0, dtype=float).ravel()
     mean, sd = predict_batch(model, x0[None, :])
-    extrapolated = bool(np.any(x0 < 0.0) or np.any(x0 > 1.0))
-    return Prediction(mean=mean[0], sd=sd[0], extrapolated=extrapolated)
+    return Prediction(mean=mean[0], sd=sd[0])
 
 
 def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
@@ -723,7 +705,6 @@ def model_to_json(model: FittedModel) -> str:
             "x": [xi.tolist() for xi in model.data.x],
             "y": [yi.tolist() for yi in model.data.y],
             "reps": model.data.reps,
-            "fingerprint": model.data.fingerprint(),
         },
         "diagnostics": {k: v for k, v in model.diagnostics.items()},
     }

@@ -71,20 +71,6 @@ class PlantConfig:
             object.__setattr__(self, "noise_sd", sd)
 
 
-def plant_response(x: np.ndarray, config: PlantConfig = None):
-    """Steady-state (HPT, IPT, LPT) power for six physical inputs.
-
-    Returns (powers, out_of_range_flag).  Out-of-range inputs are evaluated
-    anyway but flagged.
-    """
-    config = config or PlantConfig()
-    x = np.asarray(x, dtype=float).ravel()
-    y = plant_response_batch(x[None, :], config)[0]
-    lo = np.array([s.lower for s in config.specs])
-    hi = np.array([s.upper for s in config.specs])
-    return y, bool(np.any(x < lo) or np.any(x > hi))
-
-
 def plant_response_batch(x: np.ndarray, config: PlantConfig = None) -> np.ndarray:
     """Plant powers for each row of an (n x 6) physical-unit matrix -> (n x 3)."""
     config = config or PlantConfig()
@@ -181,9 +167,17 @@ def read_dataset_csv(path, specs: list = None) -> Dataset:
     phys = np.array(phys)
     ys = np.array(ys)
     reps = max(reps_col) + 1
-    if len(phys) % reps != 0:
+    if reps < 1 or len(phys) % reps != 0:
         raise ValueError(f"{path}: row count {len(phys)} not divisible by reps {reps}")
     n = len(phys) // reps
+    # rows are point-major: a point's reps rows are consecutive, with rep 0..M-1
+    for i in range(n):
+        rows_i = slice(i * reps, (i + 1) * reps)
+        where = f"{path}: rows {2 + i * reps}-{1 + (i + 1) * reps}"
+        if reps_col[rows_i] != list(range(reps)):
+            raise ValueError(f"{where}: rep column does not run 0..{reps - 1}")
+        if np.any(phys[rows_i] != phys[i * reps]):
+            raise ValueError(f"{where}: replicate rows disagree on their inputs")
     unit = unscale_points(phys[::reps], specs)
     y_lists = [ys[:, j].reshape(n, reps).reshape(-1) for j in range(k)]
     return Dataset(specs, [unit] * k, y_lists, reps, output_names)

@@ -86,16 +86,11 @@ def rank_inputs(result: EEResult, output: int) -> list:
     return [v for _, _, v in sorted(keys)]
 
 
-EE_CSV_HEADER = ["output", "input", "mu", "mu_star", "sigma"]
-
-
-def ee_report(result: EEResult = None) -> str:
-    """CSV of per-(output, input) statistics plus a ranked summary block."""
+def ee_report(result: EEResult) -> str:
+    """CSV of per-(output, input) statistics."""
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(EE_CSV_HEADER)
-    if result is None:
-        return buf.getvalue()
+    w.writerow(["output", "input", "mu", "mu_star", "sigma"])
     for i in range(result.k):
         for v in range(result.l):
             w.writerow(
@@ -129,25 +124,3 @@ def ee_plot_data(result: EEResult) -> str:
                 f"{result.mu[i, v]:.12g} {result.mu_star[i, v]:.12g} {result.sigma_ee[i, v]:.12g}"
             )
     return "\n".join(lines) + "\n"
-
-
-def parse_ee_report(text: str) -> EEResult:
-    """Rebuild an EEResult from :func:`ee_report` output (r is not recoverable)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != EE_CSV_HEADER:
-        raise ValueError("not an elementary-effects report")
-    body = rows[1:]
-    outputs, inputs = [], []
-    for row in body:
-        if row[0] not in outputs:
-            outputs.append(row[0])
-        if row[1] not in inputs:
-            inputs.append(row[1])
-    k, l = len(outputs), len(inputs)
-    mu = np.zeros((k, l))
-    mu_star = np.zeros((k, l))
-    sigma = np.zeros((k, l))
-    for row in body:
-        i, v = outputs.index(row[0]), inputs.index(row[1])
-        mu[i, v], mu_star[i, v], sigma[i, v] = float(row[2]), float(row[3]), float(row[4])
-    return EEResult(mu, mu_star, sigma, r=0, delta=np.nan, output_names=outputs, input_names=inputs)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -8,7 +9,6 @@ from mgpkit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from mgpkit.design import morris_trajectories
 from mgpkit.mgp import model_from_json, predict
 from mgpkit.plantsim import DEFAULT_SPECS
-from mgpkit.sensitivity import parse_ee_report
 
 
 def run(argv):
@@ -98,6 +98,13 @@ class TestSimulate:
 
     def test_missing_design_is_data_error(self, workdir):
         assert run(["simulate", "--design", str(workdir / "nope.csv")]) == EXIT_DATA
+
+    def test_header_only_design_is_data_error(self, workdir):
+        _, phys = make_design(workdir)
+        empty = workdir / "empty.csv"
+        empty.write_text(phys.read_text().splitlines()[0] + "\n")
+        assert run(["simulate", "--design", str(empty), "--out", str(workdir / "t.csv")]) == EXIT_DATA
+        assert not (workdir / "t.csv").exists()
 
     def test_test_design_pair(self, workdir):
         unit, _ = make_design(workdir, out="tr")
@@ -225,12 +232,12 @@ class TestSensitivity:
                 per_input[:, v] = (means[move + 1] - means[move]) / steps[move]
             effects.append(per_input)
         effects = np.array(effects)
-        got = parse_ee_report((workdir / "sm_ee.csv").read_text())
-        np.testing.assert_allclose(got.mu, effects.mean(axis=0), rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(got.mu_star, np.abs(effects).mean(axis=0),
-                                   rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(got.sigma_ee, effects.std(axis=0, ddof=1),
-                                   rtol=1e-10, atol=1e-10)
+        with open(workdir / "sm_ee.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for col, want in (("mu", effects.mean(axis=0)), ("mu_star", np.abs(effects).mean(axis=0)),
+                          ("sigma", effects.std(axis=0, ddof=1))):
+            got = np.array([float(r[col]) for r in rows]).reshape(3, 6)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_rerun_byte_identical(self, workdir):
         run(["sensitivity", "--r", "4", "--out", str(workdir / "a")])
@@ -257,6 +264,15 @@ class TestConfigFile:
                     "--out", str(workdir / "d")]) == EXIT_OK
         rows = (workdir / "d_unit.csv").read_text().splitlines()
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("form", [["--config={}"], ["--conf", "{}"]])
+    def test_config_read_in_every_argparse_form(self, workdir, form):
+        # `--config=file` and an abbreviated flag name the same file as `--config file`
+        cfg = workdir / "run.cfg"
+        cfg.write_text("restartz = 7\n")
+        argv = [f.format(cfg) for f in form]
+        assert run([*argv, "design", "--n", "4", "--out", str(workdir / "d")]) == EXIT_DATA
+        assert not (workdir / "d_unit.csv").exists()
 
     def test_missing_config_is_data_error(self, workdir):
         assert run(["--config", str(workdir / "nope.cfg"), "design", "--n", "4"]) == EXIT_DATA

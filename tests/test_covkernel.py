@@ -211,6 +211,16 @@ class TestCovMatrix:
             w = np.linalg.eigvalsh(r)
             assert w.min() >= -1e-8 * abs(w).max()
 
+    def test_exactly_symmetric_heterotopic(self):
+        # no symmetrizing pass: symmetry must hold entry for entry as built
+        rng = np.random.default_rng(12)
+        for nugget in (0.0, 1e-3, 0.5):
+            phi = RoughnessParams(rng.uniform(0.1, 20.0, size=(3, 4)))
+            xs = [rng.uniform(size=(n, 4)) for n in (7, 5, 9)]
+            r = cov_matrix(xs, MarginalSds(rng.uniform(0.5, 2.0, size=3)), phi,
+                           angles_to_corr(random_angles(3, rng)), nugget=nugget)
+            assert np.array_equal(r, r.T)
+
     def test_nugget_makes_positive_definite(self):
         sigma = MarginalSds(np.array([1.0]))
         phi = RoughnessParams(np.array([[1.0]]))

@@ -20,8 +20,8 @@ from mgpkit.mgp import (
     MgpParams,
     RegressionBasis,
     _condition,
+    _f_points,
     _fit_once,
-    build_f_matrix,
     fit,
     fit_independent,
     gls_beta_l1,
@@ -50,11 +50,16 @@ def make_params(k, l, beta_width, rng, nugget=0.1, lam=0.0):
     )
 
 
+def stacked_f(data, basis):
+    """Block-diagonal trend matrix over the stacked (replicated) observations."""
+    return block_diag(*[basis.evaluate(np.repeat(xi, data.reps, axis=0)) for xi in data.x])
+
+
 def dense_oracle_loglik(params, data, basis):
     """Reference log-likelihood by explicit inversion of the stacked covariance."""
     xexp = [np.repeat(xi, data.reps, axis=0) for xi in data.x]
     r = cov_matrix(xexp, params.sigma, params.phi, params.t, nugget=params.nugget)
-    f = build_f_matrix(data, basis)
+    f = stacked_f(data, basis)
     y = np.concatenate(data.y)
     e = y - f @ params.beta_concat()
     sign, logdet = np.linalg.slogdet(r)
@@ -72,7 +77,7 @@ class TestBuildFMatrix:
             1,
             ["a", "b"],
         )
-        f = build_f_matrix(data, RegressionBasis("const"))
+        f = _f_points(data, RegressionBasis("const"))
         assert f.shape == (5, 2)
         np.testing.assert_array_equal(f[:3, 0], 1.0)
         np.testing.assert_array_equal(f[3:, 1], 1.0)
@@ -85,7 +90,7 @@ class TestBuildFMatrix:
         data = Dataset(
             UNIT_SPECS_2D, [np.array([[0.3, 0.6]])], [np.zeros(1)], 1, ["a"]
         )
-        f = build_f_matrix(data, RegressionBasis("quad"))
+        f = _f_points(data, RegressionBasis("quad"))
         np.testing.assert_allclose(f[0], [1.0, 0.3, 0.6, 0.09, 0.36])
 
     def test_unknown_basis(self):
@@ -441,7 +446,7 @@ class TestBatchedPrediction:
         ends = np.cumsum([len(s) for s in stacked])
         train = np.concatenate([np.arange(e - len(s), e - nq) for e, s in zip(ends, stacked)])
         r_tt = full[np.ix_(train, train)] + params.nugget * np.eye(len(train))
-        resid = np.concatenate(ys) - build_f_matrix(data, basis) @ params.beta_concat()
+        resid = np.concatenate(ys) - stacked_f(data, basis) @ params.beta_concat()
         for i in range(k):
             query = np.arange(ends[i] - nq, ends[i])
             r_qt = full[np.ix_(query, train)]
@@ -457,7 +462,6 @@ class TestBatchedPrediction:
         preds = [predict(model, x0) for x0 in xq]
         np.testing.assert_allclose([pr.mean for pr in preds], mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose([pr.sd for pr in preds], sd, rtol=0, atol=1e-12)
-        assert [pr.extrapolated for pr in preds] == [False] * 22 + [True] * 3
 
 
 class TestRmse:
@@ -500,13 +504,30 @@ class TestSerialization:
         text = model_to_json(model)
         doc = json.loads(text)
         assert doc["version"] == "mgpkit-model-v1"
-        assert "fingerprint" in doc["training"]
         loaded = model_from_json(text)
         x0s = rng.uniform(size=(5, 2))
         m1, s1 = predict_batch(model, x0s)
         m2, s2 = predict_batch(loaded, x0s)
         np.testing.assert_allclose(m1, m2, atol=1e-10)
         np.testing.assert_allclose(s1, s2, atol=1e-10)
+
+    def test_training_fingerprint_is_optional(self):
+        # models written before the fingerprint was dropped carry one in the
+        # training block; it is not read, with or without it
+        rng = np.random.default_rng(18)
+        x = rng.uniform(size=(8, 2))
+        data = Dataset(UNIT_SPECS_2D, [x, x], [np.sin(3 * x[:, 0]), x[:, 1] ** 2], 1, ["a", "b"])
+        model = fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=1))
+        text = model_to_json(model)
+        doc, old = json.loads(text), json.loads(text)
+        assert "fingerprint" not in doc["training"]
+        old["training"]["fingerprint"] = {"n_total": 16, "sha256": "0" * 64}
+        x0s = rng.uniform(size=(5, 2))
+        expected = predict_batch(model, x0s)
+        for d in (doc, old):
+            got = predict_batch(model_from_json(json.dumps(d)), x0s)
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
 
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):

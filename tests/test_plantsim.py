@@ -7,7 +7,6 @@ from mgpkit.plantsim import (
     OUTPUT_NAMES,
     PlantConfig,
     generate_dataset,
-    plant_response,
     plant_response_batch,
     read_dataset_csv,
     write_dataset_csv,
@@ -23,29 +22,27 @@ NOISELESS = PlantConfig(noise_sd=np.zeros(3))
 
 class TestPlantResponse:
     def test_midpoint_reference_triple(self):
-        y, flag = plant_response(MIDPOINT, NOISELESS)
+        y = plant_response_batch(MIDPOINT, NOISELESS)[0]
         np.testing.assert_allclose(y, MIDPOINT_TRIPLE, atol=1e-8)
-        assert not flag
 
     def test_midpoint_decoupled(self):
         cfg = PlantConfig(noise_sd=np.zeros(3), coupling=0.0)
-        y, _ = plant_response(MIDPOINT, cfg)
+        y = plant_response_batch(MIDPOINT, cfg)[0]
         np.testing.assert_allclose(y, MIDPOINT_TRIPLE_DECOUPLED, atol=1e-8)
 
     def test_zero_mass_flow_kills_hpt_ipt(self):
         x = MIDPOINT.copy()
         x[2] = 0.0
-        y, flag = plant_response(x, NOISELESS)
+        y = plant_response_batch(x, NOISELESS)[0]
         assert y[0] == 0.0 and y[1] == 0.0
-        assert flag  # below the operating range
 
     def test_monotone_in_pressure(self):
         lo = MIDPOINT.copy()
         for p in (12.0, 20.0, 28.0, 34.0):
             hi = MIDPOINT.copy()
             hi[0] = p
-            lo_y, _ = plant_response(lo, NOISELESS)
-            hi_y, _ = plant_response(hi, NOISELESS)
+            lo_y = plant_response_batch(lo, NOISELESS)[0]
+            hi_y = plant_response_batch(hi, NOISELESS)[0]
             if p > MIDPOINT[0]:
                 assert hi_y[0] > lo_y[0] and hi_y[1] > lo_y[1]
             else:
@@ -54,25 +51,24 @@ class TestPlantResponse:
     def test_monotone_in_mass_flow(self):
         hi = MIDPOINT.copy()
         hi[2] = 2.9
-        lo_y, _ = plant_response(MIDPOINT, NOISELESS)
-        hi_y, _ = plant_response(hi, NOISELESS)
+        lo_y = plant_response_batch(MIDPOINT, NOISELESS)[0]
+        hi_y = plant_response_batch(hi, NOISELESS)[0]
         assert np.all(hi_y > lo_y)
 
-    def test_out_of_range_flagged_but_evaluated(self):
+    def test_out_of_range_evaluated(self):
         x = MIDPOINT.copy()
         x[0] = 50.0
-        y, flag = plant_response(x, NOISELESS)
-        assert flag and np.all(np.isfinite(y))
+        assert np.all(np.isfinite(plant_response_batch(x, NOISELESS)))
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
-            plant_response(MIDPOINT[:4], NOISELESS)
+            plant_response_batch(MIDPOINT[:4], NOISELESS)
 
     def test_rejects_non_finite(self):
         x = MIDPOINT.copy()
         x[1] = np.nan
         with pytest.raises(ValueError):
-            plant_response(x, NOISELESS)
+            plant_response_batch(x, NOISELESS)
 
     def test_batch_rejects_non_finite_row(self):
         pts = np.tile(MIDPOINT, (4, 1))
@@ -83,12 +79,6 @@ class TestPlantResponse:
     def test_batch_rejects_wrong_width(self):
         with pytest.raises(ValueError):
             plant_response_batch(np.tile(MIDPOINT[:5], (3, 1)), NOISELESS)
-
-    def test_batch_matches_scalar(self):
-        pts = scale_design(maximin_lhs(8, 6, seed=0, restarts=3), DEFAULT_SPECS)
-        batch = plant_response_batch(pts, NOISELESS)
-        for i, row in enumerate(pts):
-            np.testing.assert_array_equal(batch[i], plant_response(row, NOISELESS)[0])
 
     def test_hpt_ipt_strongly_correlated(self):
         # series coupling: the first two turbines move together far more
@@ -103,8 +93,8 @@ class TestPlantResponse:
         decoupled = PlantConfig(noise_sd=np.zeros(3), coupling=0.0)
         x = MIDPOINT.copy()
         x[0] = 34.0
-        y_mid, _ = plant_response(MIDPOINT, decoupled)
-        y_hi, _ = plant_response(x, decoupled)
+        y_mid = plant_response_batch(MIDPOINT, decoupled)[0]
+        y_hi = plant_response_batch(x, decoupled)[0]
         assert y_hi[1] == y_mid[1]  # IPT no longer sees inlet pressure
 
 
@@ -198,6 +188,28 @@ class TestDatasetCsv:
         lines[3] = lines[3].replace(lines[3].split(",")[-1], "bogus")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="row 4"):
+            read_dataset_csv(path)
+
+    def _written(self, tmp_path):
+        d = maximin_lhs(4, 6, seed=4, restarts=3)
+        path = tmp_path / "plant.csv"
+        write_dataset_csv(path, generate_dataset(d, PlantConfig(seed=9), reps=2))
+        header, *rows = path.read_text().splitlines()
+        return path, header, rows
+
+    def test_rep_major_rows_rejected(self, tmp_path):
+        # the same rows in rep-major order would load as scrambled points
+        path, header, rows = self._written(tmp_path)
+        path.write_text("\n".join([header] + rows[0::2] + rows[1::2]) + "\n")
+        with pytest.raises(ValueError, match="rows 2-3: rep column"):
+            read_dataset_csv(path)
+
+    def test_replicates_with_different_inputs_rejected(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        # rep 1 of point 1 takes the inputs of point 0
+        rows[3] = ",".join(rows[0].split(",")[:6] + rows[3].split(",")[6:])
+        path.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(ValueError, match="rows 4-5: replicate rows disagree"):
             read_dataset_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
