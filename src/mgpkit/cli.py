@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -185,8 +186,10 @@ def cmd_fit(args) -> int:
         _print_fit_report(model, args.out)
     else:
         models = fit_independent(data, basis, config)
+        out = Path(args.out)
         for i, m in enumerate(models):
-            path = args.out.replace(".json", f"_{data.output_names[i]}.json")
+            # model.json -> model_HPT.json; the output name goes before the suffix
+            path = str(out.with_name(f"{out.stem}_{data.output_names[i]}{out.suffix}"))
             with open(path, "w") as fh:
                 fh.write(model_to_json(m))
             _print_fit_report(m, path)

@@ -86,26 +86,57 @@ class MarginalSds:
         object.__setattr__(self, "sigma", s)
 
 
-def angles_to_corr(omega: CrossCorrAngles) -> CrossCorrMatrix:
-    """Build T = E E' where row r of E lies on the unit sphere.
-
-    Row 1 is (1, 0, ..., 0); for r >= 2 the entries are cos/sin products of
-    the row's angles, so T is positive definite with unit diagonal for any
-    valid angle vector.
-    """
-    k = omega.k
+def _sphere_rows(angles: np.ndarray, k: int) -> np.ndarray:
+    """E with T = E E': row 1 is (1, 0, ..., 0); for r >= 2 the entries are
+    cos/sin products of the row's angles, so every row has unit length."""
     e = np.zeros((k, k))
     e[0, 0] = 1.0
     idx = 0
     for r in range(1, k):
-        row_angles = omega.angles[idx : idx + r]
+        row_angles = angles[idx : idx + r]
         idx += r
         sin_prod = 1.0
         for s in range(r):
             e[r, s] = np.cos(row_angles[s]) * sin_prod
             sin_prod *= np.sin(row_angles[s])
         e[r, r] = sin_prod
+    return e
+
+
+def angles_to_corr(omega: CrossCorrAngles) -> CrossCorrMatrix:
+    """Build T = E E' where row r of E lies on the unit sphere.
+
+    T is positive definite with unit diagonal for any valid angle vector.
+    """
+    e = _sphere_rows(omega.angles, omega.k)
     return CrossCorrMatrix(_unit_diag(e @ e.T))
+
+
+def corr_and_angle_grads(angles: np.ndarray, k: int) -> tuple:
+    """T as a raw array and dT/d(omega_p) for each angle p, stacked (m x K x K).
+
+    Differentiating row r of E by its angle omega at position s multiplies
+    the entries after position s by cot(omega) and turns
+    E[r, s] = cos(omega) * prod sin into -sin(omega) * prod sin; so
+    dT = dE E' + E dE' is nonzero in row and column r only.
+    """
+    e = _sphere_rows(angles, k)
+    grads = np.zeros((n_angles(k), k, k))
+    p = 0
+    for r in range(1, k):
+        sin_prod = 1.0
+        for s in range(r):
+            a = angles[p]
+            de = np.zeros(k)
+            de[s] = -np.sin(a) * sin_prod
+            de[s + 1 : r + 1] = e[r, s + 1 : r + 1] * (np.cos(a) / np.sin(a))
+            sin_prod *= np.sin(a)
+            col = e @ de
+            col[r] = 0.0  # T keeps its unit diagonal
+            grads[p, r, :] = col
+            grads[p, :, r] = col
+            p += 1
+    return _unit_diag(e @ e.T), grads
 
 
 def _unit_diag(t: np.ndarray) -> np.ndarray:
@@ -135,6 +166,28 @@ def corr_to_angles(t: CrossCorrMatrix) -> CrossCorrAngles:
     return CrossCorrAngles(np.array(angles), t.k)
 
 
+def sq_diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Coordinate-wise squared differences of two point sets, (n_a x n_b x l)."""
+    d2 = xa[:, None, :] - xb[None, :, :]
+    d2 *= d2  # squared in place: one (n_a, n_b, l) temporary per call, not two
+    return d2
+
+
+def cov_block_from_sq_diffs(
+    d2: np.ndarray, phi_i: np.ndarray, phi_j: np.ndarray, scale: float = 1.0
+) -> np.ndarray:
+    """scale * normalizer * exp(-d' H d) over squared differences ``d2``.
+
+    H is the coordinate-wise harmonic mean of the two outputs' precisions and
+    the normalizer is prod_k [AM(phi_k) * AM(1/phi_k)]^(-1/4) (1 when
+    phi_i == phi_j); with scale = sigma_i sigma_j T_ij this is the
+    cross-covariance block.
+    """
+    harm = 2.0 * phi_i * phi_j / (phi_i + phi_j)
+    expo = np.exp(-np.einsum("abk,k->ab", d2, harm))
+    return scale * mean_normalizer(phi_i, phi_j) * expo
+
+
 def cross_cov_block(
     xa: np.ndarray,
     xb: np.ndarray,
@@ -147,9 +200,8 @@ def cross_cov_block(
     """Nonseparable cross-covariance between output i on xa and output j on xb.
 
     For point sets (n_a x l) and (n_b x l) returns the (n_a x n_b) matrix
-    sigma_i sigma_j T_ij * exp(-d' H d) / det-normalizer, where d = xa - xb,
-    H is the coordinate-wise harmonic mean of the two outputs' precisions and
-    the normalizer is prod_k [AM(phi_k) * AM(1/phi_k)]^(1/4) (1 when i == j).
+    sigma_i sigma_j T_ij * exp(-d' H d) / det-normalizer, where d = xa - xb
+    (see :func:`cov_block_from_sq_diffs`).
     """
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
@@ -158,11 +210,8 @@ def cross_cov_block(
     pi, pj = phi.phi[i], phi.phi[j]
     if pi.size != xa.shape[1]:
         raise ValueError("point dimension does not match roughness parameters")
-    harm = 2.0 * pi * pj / (pi + pj)
-    d2 = xa[:, None, :] - xb[None, :, :]
-    d2 *= d2  # squared in place: one (n_a, n_b, l) temporary per call, not two
-    expo = np.exp(-np.einsum("abk,k->ab", d2, harm))
-    return sigma.sigma[i] * sigma.sigma[j] * t.t[i, j] * mean_normalizer(pi, pj) * expo
+    scale = sigma.sigma[i] * sigma.sigma[j] * t.t[i, j]
+    return cov_block_from_sq_diffs(sq_diffs(xa, xb), pi, pj, scale)
 
 
 def det_normalizer(phi_i: np.ndarray, phi_j: np.ndarray) -> float:
@@ -200,15 +249,23 @@ def cov_matrix(
         raise ValueError(f"nugget must be >= 0, got {nugget}")
     k = len(xs)
     xs = [np.atleast_2d(np.asarray(x, dtype=float)) for x in xs]
-    sizes = [x.shape[0] for x in xs]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    n_total = offs[-1]
-    r = np.empty((n_total, n_total))
-    for i in range(k):
-        for j in range(i, k):
-            block = cross_cov_block(xs[i], xs[j], i, j, sigma, phi, t)
-            r[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = block
-            if j > i:
-                r[offs[j] : offs[j + 1], offs[i] : offs[i + 1]] = block.T
-    r += nugget * np.eye(n_total)
+    offs = np.concatenate([[0], np.cumsum([x.shape[0] for x in xs])])
+    r = assemble_blocks(
+        ((i, j, cross_cov_block(xs[i], xs[j], i, j, sigma, phi, t))
+         for i in range(k) for j in range(i, k)),
+        offs,
+    )
+    r += nugget * np.eye(offs[-1])
+    return r
+
+
+def assemble_blocks(blocks, offs) -> np.ndarray:
+    """Symmetric matrix from its blocks (i, j, block) with i <= j, output i's
+    rows and columns at ``offs[i]:offs[i + 1]``; each block below the diagonal
+    is stored as the transpose of its mirror."""
+    r = np.empty((offs[-1], offs[-1]))
+    for i, j, block in blocks:
+        r[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = block
+        if j > i:
+            r[offs[j] : offs[j + 1], offs[i] : offs[i + 1]] = block.T
     return r

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular, LinAlgError
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
@@ -24,10 +25,14 @@ from .covkernel import (
     MarginalSds,
     RoughnessParams,
     angles_to_corr,
+    assemble_blocks,
+    corr_and_angle_grads,
     corr_to_angles,
+    cov_block_from_sq_diffs,
     cov_matrix,
     cross_cov_block,
     n_angles,
+    sq_diffs,
 )
 from .design import InputSpec
 
@@ -195,7 +200,12 @@ def _factor(params: MgpParams, data: Dataset):
     Cz = M*C + nugget*I, and the diagonal jitter it needed (escalated on failure).
     """
     c = cov_matrix(data.x, params.sigma, params.phi, params.t, nugget=0.0)
-    cz = data.reps * c + params.nugget * np.eye(data.n_points)
+    return _factor_collapsed(c, data.reps, params.nugget)
+
+
+def _factor_collapsed(c: np.ndarray, reps: int, nugget: float):
+    """Lower Cholesky factor of Cz = reps*c + nugget*I and the jitter it needed."""
+    cz = reps * c + nugget * np.eye(c.shape[0])
     scale = float(np.mean(np.diag(cz)))
     jitter = 0.0
     while True:
@@ -215,19 +225,24 @@ def penalized_loglik(params: MgpParams, data: Dataset, basis: RegressionBasis) -
     -1/2 (log|R| + e' R^-1 e) - lambda*|beta|_1 - (N/2) log(2*pi), evaluated
     through the exact replicate collapse.
     """
-    m, n, n_pts = data.reps, data.n_total, data.n_points
-    if m > 1 and params.nugget <= 0.0:
+    if data.reps > 1 and params.nugget <= 0.0:
         raise ValueError("replicated data requires a positive nugget")
     chol_l, _ = _factor(params, data)
-    ybar = np.concatenate(data.point_means())
-    resid = ybar - _f_points(data, basis) @ params.beta_concat()
-    w = solve_triangular(chol_l, resid, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
-    quad = m * float(w @ w)
-    ll = -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
-    if m > 1:
-        ll -= 0.5 * ((n - n_pts) * np.log(params.nugget) + data.within_point_sse() / params.nugget)
+    resid = np.concatenate(data.point_means()) - _f_points(data, basis) @ params.beta_concat()
+    ll, _ = _collapsed_loglik(chol_l, resid, data.reps, data.n_total, params.nugget,
+                              data.within_point_sse())
     return ll - params.lam * float(np.sum(np.abs(params.beta_concat())))
+
+
+def _collapsed_loglik(chol_l, resid, m, n_total, nugget, sse):
+    """Stacked-data log-likelihood from the factor of Cz = M*C + nugget*I and
+    the point-level residual ȳ - Fβ, and a = Cz⁻¹ (ȳ - Fβ)."""
+    a = cho_solve((chol_l, True), resid)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
+    ll = -0.5 * (n_total * np.log(2.0 * np.pi) + logdet + m * float(resid @ a))
+    if m > 1:
+        ll -= 0.5 * ((n_total - len(resid)) * np.log(nugget) + sse / nugget)
+    return ll, a
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +312,10 @@ _COV_MAXITER = 60
 _ROUND_TOL = 1e-5
 _LAMBDA_GRID = (0.0, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)  # x N_total, for lam="auto"
 _PHI_INIT_RANGE = (0.1, 100.0)  # log-uniform phi of the random starts
+# diagnostics that fit() sums over its restarts and the univariate prefits:
+# L-BFGS-B searches, searches stopped at _COV_MAXITER, and likelihood
+# evaluations whose covariance could not be factored (a 1e12 penalty)
+_SEARCH_COUNTS = ("searches", "iter_limit_hits", "npd_penalties")
 
 
 @dataclass
@@ -337,6 +356,89 @@ def _theta_bounds(k, l):
         + [_OMEGA_U_BOUNDS] * m
         + [_LOG_NUGGET_BOUNDS]
     )
+
+
+class _LoglikEngine:
+    """Log-likelihood and its exact gradient in the packed parameters θ, for
+    one standardized dataset and trend basis.
+
+    What stays fixed during a fit is computed once: the squared-difference
+    tensor of each output pair i <= j, the point means ȳ, the trend matrix F
+    and the replicate SSE.  Each call builds Cz = M*C + nugget*I from them,
+    factors it once and returns ℓ and
+    ∂ℓ/∂θ = ½ tr[(M a a' − Cz⁻¹) ∂Cz/∂θ] with a = Cz⁻¹(ȳ − Fβ) (Rasmussen &
+    Williams 2006, §5.4.1), plus the nugget's replicate-SSE term, through the
+    hypersphere map of the angles and the log/logit packing.
+    """
+
+    def __init__(self, data: Dataset, basis: RegressionBasis):
+        self.k, self.l, self.reps = data.k, data.l, data.reps
+        self.n_points, self.n_total = data.n_points, data.n_total
+        self.ybar = np.concatenate(data.point_means())
+        self.f = _f_points(data, basis)
+        self.sse = data.within_point_sse()
+        self.offs = np.concatenate([[0], np.cumsum([len(xi) for xi in data.x])])
+        self.pairs = [(i, j, sq_diffs(data.x[i], data.x[j]))
+                      for i in range(self.k) for j in range(i, self.k)]
+
+    def _c(self, sigma, phi, t):
+        """C and the per-pair kernels without sigma_i sigma_j T_ij."""
+        kernels = [cov_block_from_sq_diffs(d2, phi[i], phi[j]) for i, j, d2 in self.pairs]
+        c = assemble_blocks(
+            ((i, j, (sigma[i] * sigma[j] * t[i, j]) * e)
+             for (i, j, _), e in zip(self.pairs, kernels)),
+            self.offs,
+        )
+        return c, kernels
+
+    def factor(self, theta):
+        """Lower Cholesky factor of Cz at θ and the jitter it needed."""
+        sigma, phi, omega, nugget = _unpack(theta, self.k, self.l)
+        t = angles_to_corr(CrossCorrAngles(omega, self.k)).t
+        return _factor_collapsed(self._c(sigma, phi, t)[0], self.reps, nugget)
+
+    def loglik_grad(self, theta, beta, lam=0.0):
+        """(ℓ, ∂ℓ/∂θ) at θ for the concatenated trend ``beta``; ℓ equals
+        :func:`penalized_loglik` of the same parameters."""
+        k, l, m, o = self.k, self.l, self.reps, self.offs
+        sigma, phi, omega, nugget = _unpack(theta, k, l)
+        t, dt_domega = corr_and_angle_grads(omega, k)
+        c, kernels = self._c(sigma, phi, t)
+        chol_l, _ = _factor_collapsed(c, m, nugget)
+        ll, a = _collapsed_loglik(chol_l, self.ybar - self.f @ beta, m, self.n_total, nugget,
+                                  self.sse)
+        ll -= lam * float(np.sum(np.abs(beta)))
+
+        inv_lower, info = dpotri(chol_l, lower=1)
+        if info != 0:
+            raise NonPositiveDefiniteError(f"inverse from the Cholesky factor failed (info {info})")
+        cz_inv = np.tril(inv_lower) + np.tril(inv_lower, -1).T
+        w = m * np.outer(a, a) - cz_inv  # ∂ℓ/∂Cz, doubled
+        g_sigma, g_phi, g_t = np.zeros(k), np.zeros((k, l)), np.zeros((k, k))
+        for (i, j, d2), e in zip(self.pairs, kernels):
+            we = w[o[i] : o[i + 1], o[j] : o[j + 1]] * e
+            q = float(we.sum())
+            s_ij = sigma[i] * sigma[j]
+            # Σ W∘C over the block, and the same weighted by each D²_d
+            s0 = s_ij * t[i, j] * q
+            s_d = s_ij * t[i, j] * (we.ravel() @ d2.reshape(-1, l))
+            half = 0.5 * m * (1.0 if i == j else 2.0)  # off-diagonal blocks appear twice
+            den = phi[i] + phi[j]
+            harm = 2.0 * phi[i] * phi[j] / den
+            # ∂log C_ij/∂log φ_id = (¼ − ½φ_id/(φ_id+φ_jd)) − h_d φ_jd/(φ_id+φ_jd) D²_d
+            g_phi[i] += half * ((0.25 - 0.5 * phi[i] / den) * s0 - harm * phi[j] / den * s_d)
+            g_phi[j] += half * ((0.25 - 0.5 * phi[j] / den) * s0 - harm * phi[i] / den * s_d)
+            g_sigma[i] += half * s0
+            g_sigma[j] += half * s0
+            if i < j:
+                g_t[i, j] = m * s_ij * q
+        g_omega = np.einsum("ij,pij->p", g_t, dt_domega)
+        u = theta[k + k * l : k + k * l + n_angles(k)]
+        ex = expit(u)  # inside _OMEGA_U_BOUNDS the clip of omega to ANGLE_EPS never binds
+        g_u = g_omega * np.pi * ex * (1.0 - ex)
+        n_extra = self.n_total - self.n_points
+        g_nugget = 0.5 * float(np.trace(w)) - 0.5 * (n_extra / nugget - self.sse / nugget ** 2)
+        return ll, np.concatenate([g_sigma, g_phi.ravel(), g_u, [nugget * g_nugget]])
 
 
 @dataclass
@@ -386,42 +488,35 @@ def _condition(params: MgpParams, data: Dataset, basis: RegressionBasis) -> Fitt
     )
 
 
-def _fit_once(data, basis, lam, start=None) -> FittedModel:
-    """One restart of block-coordinate ascent on standardized data."""
+def _fit_once(data, basis, lam, counts, start=None) -> FittedModel:
+    """One restart of block-coordinate ascent on standardized data; its
+    searches are added to ``counts`` as they run (see _SEARCH_COUNTS)."""
     k, l, m_reps = data.k, data.l, data.reps
     if start is None:
         start = (np.ones(k), np.ones((k, l)), np.full(n_angles(k), np.pi / 2.0), 1e-2)
-    sigma0, phi0, omega0, nugget0 = start
-    theta = _pack(sigma0, phi0, omega0, nugget0)
+    theta = _pack(*start)
     bounds = _theta_bounds(k, l)
-    ybar = np.concatenate(data.point_means())
-    f_pts = _f_points(data, basis)
-
-    def params_at(theta, beta_list):
-        sigma, phi, omega, nugget = _unpack(theta, k, l)
-        return MgpParams(
-            beta=beta_list,
-            sigma=MarginalSds(sigma),
-            phi=RoughnessParams(phi),
-            omega=CrossCorrAngles(omega, k),
-            nugget=nugget,
-            lam=lam,
-        )
-
-    beta = [np.zeros(basis.width(l)) for _ in range(k)]
-
-    def neg_ll(th):
-        try:
-            return -penalized_loglik(params_at(th, beta), data, basis)
-        except NonPositiveDefiniteError:
-            return 1e12
+    engine = _LoglikEngine(data, basis)
+    beta = np.zeros(k * basis.width(l))
 
     # L-BFGS-B starts from an identity Hessian, so its first step is the raw
     # gradient; the log-likelihood grows with N_total, and unscaled that step
     # lands on a box corner (phi = 1e4, white noise) where the phi-gradient
     # vanishes.  The search therefore sees the per-observation objective.
     def neg_ll_per_obs(th):
-        return neg_ll(th) / data.n_total
+        try:
+            ll, grad = engine.loglik_grad(th, beta, lam)
+        except NonPositiveDefiniteError:
+            counts["npd_penalties"] += 1
+            return 1e12 / data.n_total, np.zeros_like(th)
+        return -ll / data.n_total, -grad / data.n_total
+
+    def search(th, box):
+        res = minimize(neg_ll_per_obs, th, jac=True, method="L-BFGS-B", bounds=box,
+                       options={"maxiter": _COV_MAXITER})
+        counts["searches"] += 1
+        counts["iter_limit_hits"] += int(res.nit >= _COV_MAXITER)
+        return res
 
     # warm-up: settle sigma/phi/nugget with the angles frozen, so the
     # cross-correlation cannot wander while the marginals are still wrong
@@ -429,39 +524,37 @@ def _fit_once(data, basis, lam, start=None) -> FittedModel:
         frozen = list(bounds)
         for a_i in range(k + k * l, k + k * l + n_angles(k)):
             frozen[a_i] = (theta[a_i], theta[a_i])
-        res = minimize(
-            neg_ll_per_obs, theta, method="L-BFGS-B", bounds=frozen,
-            options={"maxiter": _COV_MAXITER},
-        )
-        theta = res.x
+        theta = search(theta, frozen).x
 
     def beta_step(th):
         # the collapsed system scales y and F by sqrt(M); lam is unchanged
-        chol_l, _ = _factor(params_at(th, beta), data)
-        bfull = gls_beta_l1(chol_l, np.sqrt(m_reps) * f_pts, np.sqrt(m_reps) * ybar, lam)
-        return np.split(bfull, k)
+        chol_l, _ = engine.factor(th)
+        s = np.sqrt(m_reps)
+        return gls_beta_l1(chol_l, s * engine.f, s * engine.ybar, lam)
 
     prev_obj = -np.inf
     n_iters = 0
     for _ in range(_MAX_ROUNDS):
         beta = beta_step(theta)
         # covariance step at current beta
-        res = minimize(
-            neg_ll_per_obs,
-            theta,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": _COV_MAXITER},
-        )
+        res = search(theta, bounds)
         theta = res.x
         n_iters += int(res.nit)
-        obj = -neg_ll(theta)
+        obj = -res.fun * data.n_total
         if obj - prev_obj < _ROUND_TOL * max(1.0, abs(obj)):
             break
         prev_obj = obj
 
     # the rounds end on a covariance step: solve beta at the returned covariance
-    params = params_at(theta, beta_step(theta))
+    sigma, phi, omega, nugget = _unpack(theta, k, l)
+    params = MgpParams(
+        beta=np.split(beta_step(theta), k),
+        sigma=MarginalSds(sigma),
+        phi=RoughnessParams(phi),
+        omega=CrossCorrAngles(omega, k),
+        nugget=nugget,
+        lam=lam,
+    )
     model = _condition(params, data, basis)
     model.diagnostics = {
         "loglik": float(penalized_loglik(params, data, basis)),
@@ -478,7 +571,9 @@ def _standardize(data: Dataset):
     return Dataset(data.specs, data.x, ystd, data.reps, data.output_names), means, scales
 
 
-def fit(data: Dataset, basis: RegressionBasis = None, config: FitConfig = None) -> FittedModel:
+def fit(
+    data: Dataset, basis: RegressionBasis = None, config: FitConfig = None, *, _counts=None
+) -> FittedModel:
     """Maximum penalized-likelihood fit of all model parameters.
 
     Alternates an L1-penalized GLS step for the trend coefficients with a
@@ -503,11 +598,17 @@ def fit(data: Dataset, basis: RegressionBasis = None, config: FitConfig = None) 
     lo, hi = _PHI_INIT_RANGE
     k, l = sdata.k, sdata.l
     starts = [None] * config.restarts
+    # every search of this fit counts, also those of restarts and prefits
+    # that fail; the prefits add theirs to this fit's counts
+    counts = dict.fromkeys(_SEARCH_COUNTS, 0) if _counts is None else _counts
     if k > 1:
         # informed first start: univariate prefits for sigma/phi/nugget and an
         # empirical-correlation guess for the angles
         try:
-            starts[0] = _informed_start(sdata, basis, config)
+            prefit_config = replace(config, lam=0.0, restarts=2)
+            prefits = [fit(sdata.sub_dataset(i), basis, prefit_config, _counts=counts)
+                       for i in range(k)]
+            starts[0] = _informed_start(sdata, prefits)
         except FitError:
             pass
     for i in range(config.restarts):
@@ -524,7 +625,7 @@ def fit(data: Dataset, basis: RegressionBasis = None, config: FitConfig = None) 
                 phi0 = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(k, l)))
                 start = (np.ones(k), phi0, np.full(n_angles(k), np.pi / 2.0), 1e-2)
         try:
-            model = _fit_once(sdata, basis, lam, start=start)
+            model = _fit_once(sdata, basis, lam, counts, start=start)
         except FitError as exc:
             errors.append(str(exc))
             continue
@@ -534,15 +635,15 @@ def fit(data: Dataset, basis: RegressionBasis = None, config: FitConfig = None) 
         raise FitError(f"all {config.restarts} restarts failed: {errors}")
     best.y_mean = means
     best.y_scale = scales
+    best.diagnostics.update(counts)
     best.diagnostics["restarts"] = config.restarts
     best.diagnostics["lambda"] = lam
     return best
 
 
-def _informed_start(sdata: Dataset, basis: RegressionBasis, config: FitConfig):
+def _informed_start(sdata: Dataset, prefits: list):
     """Starting point from per-output univariate fits plus empirical correlation."""
     k = sdata.k
-    prefits = fit_independent(sdata, basis, replace(config, lam=0.0, restarts=2))
     # each prefit re-standardizes; undo its scale to stay in sdata units
     sigma0 = np.array([m.params.sigma.sigma[0] * m.y_scale[0] for m in prefits])
     phi0 = np.array([m.params.phi.phi[0] for m in prefits])

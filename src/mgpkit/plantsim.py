@@ -136,11 +136,9 @@ def write_dataset_csv(path, data: Dataset) -> None:
         w.writerow(header)
         for i, row in enumerate(phys):
             for m in range(data.reps):
-                w.writerow(
-                    [f"{v:.12g}" for v in row]
-                    + [m]
-                    + [f"{g[i, m]:.12g}" for g in grids]
-                )
+                # repr is the shortest text that reads back as the same float
+                w.writerow([repr(float(v)) for v in row] + [m]
+                           + [repr(float(g[i, m])) for g in grids])
 
 
 def read_dataset_csv(path, specs: list = None) -> Dataset:

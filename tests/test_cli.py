@@ -141,6 +141,20 @@ class TestFit:
         for nm in ("HPT", "IPT", "LPT"):
             assert (workdir / f"m_{nm}.json").exists()
 
+    @pytest.mark.parametrize("out, template", [
+        ("model", "model_{}"),
+        ("run.json.d/m.json", "run.json.d/m_{}.json"),
+    ])
+    def test_independent_mode_names_each_output(self, workdir, out, template):
+        # the output name goes before the suffix of the file name only
+        data = make_dataset(workdir)
+        (workdir / "run.json.d").mkdir()
+        assert run(["fit", "--data", str(data), "--mode", "independent",
+                    "--restarts", "1", "--out", str(workdir / out)]) == EXIT_OK
+        for nm in ("HPT", "IPT", "LPT"):
+            doc = json.loads((workdir / template.format(nm)).read_text())
+            assert doc["output_names"] == [nm]
+
     def test_rerun_byte_identical(self, workdir):
         a = make_model(workdir, out="a.json")
         h = digest(a)

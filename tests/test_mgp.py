@@ -13,15 +13,20 @@ from mgpkit.covkernel import (
     cov_matrix,
 )
 from mgpkit.design import InputSpec, lhs
+import mgpkit.mgp
 from mgpkit.mgp import (
+    _COV_MAXITER,
     Dataset,
     FitConfig,
     FitError,
     MgpParams,
     RegressionBasis,
+    _LoglikEngine,
     _condition,
     _f_points,
     _fit_once,
+    _pack,
+    _unpack,
     fit,
     fit_independent,
     gls_beta_l1,
@@ -246,25 +251,28 @@ class TestFitAndPredict:
 
     def test_likelihood_value_error_is_not_swallowed(self, monkeypatch):
         # only a failed factorization is a 1e12 penalty for the search; a
-        # ValueError signals a bug and must reach the caller, also from the
-        # univariate prefits of a K = 2 fit's informed start
+        # ValueError signals a bug and must reach the caller, from the
+        # search's own likelihood (the engine) and from the returned model's,
+        # also from the univariate prefits of a K = 2 fit's informed start
         x = lhs(10, 1, seed=4).points
         k1 = Dataset(UNIT_SPECS_1D, [x], [np.sin(6 * x[:, 0])], 1, ["y"])
         k2 = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
                      ["a", "b"])
-        for data in (k1, k2):
-            calls = []
+        for owner, name in ((mgpkit.mgp, "penalized_loglik"), (_LoglikEngine, "loglik_grad")):
+            for data in (k1, k2):
+                calls = []
+                original = getattr(owner, name)
 
-            def raise_once(*args):
-                calls.append(1)
-                if len(calls) == 1:
-                    raise ValueError("bug")
-                return penalized_loglik(*args)
+                def raise_once(*args, original=original, calls=calls):
+                    calls.append(1)
+                    if len(calls) == 1:
+                        raise ValueError("bug")
+                    return original(*args)
 
-            monkeypatch.setattr("mgpkit.mgp.penalized_loglik", raise_once)
-            with pytest.raises(ValueError, match="bug"):
-                fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=1))
-            monkeypatch.undo()
+                monkeypatch.setattr(owner, name, raise_once)
+                with pytest.raises(ValueError, match="bug"):
+                    fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=1))
+                monkeypatch.undo()
 
     @pytest.mark.filterwarnings("error")
     def test_constant_output_fits_without_correlation_guess(self):
@@ -415,6 +423,115 @@ class TestFitAndPredict:
             h2 = 1e-6
             g_fine = (ll_of_logphi(lp + h2) - ll_of_logphi(lp - h2)) / (2 * h2)
             assert abs(g_central - g_fine) <= 1e-4 * max(1.0, abs(g_fine))
+
+
+def engine_cases():
+    """(data, basis) for K = 1, 2, 3, isotopic and heterotopic, 1 and 3 reps."""
+    rng = np.random.default_rng(21)
+    for k in (1, 2, 3):
+        for sizes in ((7,) * k, (7, 9, 5)[:k]):
+            for reps in (1, 3):
+                x0 = rng.uniform(size=(7, 2))
+                xs = [x0 if n == 7 else rng.uniform(size=(n, 2)) for n in sizes]
+                ys = [rng.normal(size=len(xi) * reps) for xi in xs]
+                data = Dataset(UNIT_SPECS_2D, xs, ys, reps, [f"y{i}" for i in range(k)])
+                for kind in ("const", "linear", "quad"):
+                    yield data, RegressionBasis(kind)
+
+
+def random_theta(data, rng):
+    k, l = data.k, data.l
+    return _pack(rng.uniform(0.5, 2.0, size=k), np.exp(rng.uniform(-1.0, 2.0, size=(k, l))),
+                 rng.uniform(0.3, np.pi - 0.3, size=k * (k - 1) // 2), rng.uniform(0.01, 0.5))
+
+
+def params_at(theta, beta, data, lam):
+    sigma, phi, omega, nugget = _unpack(theta, data.k, data.l)
+    return MgpParams(np.split(beta, data.k), MarginalSds(sigma), RoughnessParams(phi),
+                     CrossCorrAngles(omega, data.k), nugget, lam)
+
+
+class TestLoglikEngine:
+    def test_loglik_equals_penalized_loglik(self):
+        rng = np.random.default_rng(22)
+        for data, basis in engine_cases():
+            engine = _LoglikEngine(data, basis)
+            theta = random_theta(data, rng)
+            beta = rng.normal(size=data.k * basis.width(data.l))
+            ll, _ = engine.loglik_grad(theta, beta, 0.4)
+            want = penalized_loglik(params_at(theta, beta, data, 0.4), data, basis)
+            assert ll == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(23)
+        h = 1e-5
+        for data, basis in engine_cases():
+            engine = _LoglikEngine(data, basis)
+            theta = random_theta(data, rng)
+            beta = rng.normal(size=data.k * basis.width(data.l))
+            _, grad = engine.loglik_grad(theta, beta)
+            central = np.array([
+                (engine.loglik_grad(theta + h * e, beta)[0]
+                 - engine.loglik_grad(theta - h * e, beta)[0]) / (2 * h)
+                for e in np.eye(theta.size)
+            ])
+            assert np.max(np.abs(grad - central)) <= 1e-6 * max(1.0, np.max(np.abs(central)))
+
+    def test_search_uses_the_exact_gradient(self, monkeypatch):
+        # a finite-difference gradient costs one factorization per parameter
+        # per iteration (13 parameters here); the exact one costs one per
+        # evaluation, and L-BFGS-B takes one or two evaluations an iteration
+        counts = {"cholesky": 0, "nit": 0, "searches": 0, "at_cap": 0}
+        cholesky_, minimize_ = mgpkit.mgp.cholesky, mgpkit.mgp.minimize
+
+        def counted_cholesky(*args, **kwargs):
+            counts["cholesky"] += 1
+            return cholesky_(*args, **kwargs)
+
+        def counted_minimize(*args, **kwargs):
+            res = minimize_(*args, **kwargs)
+            counts["nit"] += res.nit
+            counts["searches"] += 1
+            counts["at_cap"] += res.nit >= _COV_MAXITER
+            return res
+
+        monkeypatch.setattr("mgpkit.mgp.cholesky", counted_cholesky)
+        monkeypatch.setattr("mgpkit.mgp.minimize", counted_minimize)
+        x = lhs(15, 3, seed=24).points
+        ys = [np.sin(3 * x[:, 0]) + x[:, 1], np.sin(3 * x[:, 0]) - x[:, 2] ** 2]
+        data = Dataset([InputSpec(f"x{j}", 0.0, 1.0) for j in range(3)], [x, x], ys, 1,
+                       ["a", "b"])
+        model = fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=2))
+        assert counts["cholesky"] < 3 * counts["nit"]
+        # the model counts every search of the fit, prefits included
+        assert model.diagnostics["searches"] == counts["searches"]
+        assert model.diagnostics["iter_limit_hits"] == counts["at_cap"]
+        assert model.diagnostics["npd_penalties"] >= 0
+
+    def test_failed_restarts_and_prefits_are_counted(self, monkeypatch):
+        # the first three restarts fail after their searches: both restarts
+        # of the first prefit (so the informed start is dropped) and the
+        # first restart of the joint fit; their searches still count
+        searches, conditioned = [], []
+        minimize_ = mgpkit.mgp.minimize
+
+        def counted_minimize(*args, **kwargs):
+            searches.append(1)
+            return minimize_(*args, **kwargs)
+
+        def failing_condition(*args):
+            conditioned.append(1)
+            if len(conditioned) <= 3:
+                raise FitError("rejected")
+            return _condition(*args)
+
+        monkeypatch.setattr("mgpkit.mgp.minimize", counted_minimize)
+        monkeypatch.setattr("mgpkit.mgp._condition", failing_condition)
+        x = lhs(10, 1, seed=4).points
+        data = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
+                       ["a", "b"])
+        model = fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=2))
+        assert model.diagnostics["searches"] == len(searches)
 
 
 class TestBatchedPrediction:

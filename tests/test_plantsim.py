@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mgpkit.design import maximin_lhs, scale_design
+from mgpkit.design import maximin_lhs, scale_design, unscale_points
 from mgpkit.plantsim import (
     DEFAULT_SPECS,
     OUTPUT_NAMES,
@@ -169,6 +169,9 @@ class TestGenerateDataset:
 
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
+        # the file holds physical inputs and outputs at full precision: reading
+        # it back gives the written outputs and the unit image of the written
+        # inputs, bit for bit
         d = maximin_lhs(8, 6, seed=4, restarts=3)
         data = generate_dataset(d, PlantConfig(seed=9), reps=3)
         path = tmp_path / "plant.csv"
@@ -176,8 +179,11 @@ class TestDatasetCsv:
         back = read_dataset_csv(path)
         assert back.reps == 3 and back.output_names == OUTPUT_NAMES
         np.testing.assert_allclose(back.x[0], data.x[0], atol=1e-9)
+        written = unscale_points(scale_design(d, DEFAULT_SPECS), DEFAULT_SPECS)
+        for xb in back.x:
+            assert np.array_equal(xb, written)
         for ya, yb in zip(data.y, back.y):
-            np.testing.assert_allclose(ya, yb, rtol=1e-10)
+            assert np.array_equal(ya, yb)
 
     def test_bad_row_reports_location(self, tmp_path):
         d = maximin_lhs(4, 6, seed=4, restarts=3)
