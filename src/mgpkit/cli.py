@@ -118,14 +118,10 @@ def _log(cmd: str, **kv) -> None:
 
 def cmd_design(args) -> int:
     specs = _load_specs(args.specs_file)
-    if args.dims is None:
-        args.dims = len(specs)
-    if args.dims != len(specs):
-        raise DataError(f"--dims {args.dims} does not match {len(specs)} input specs")
-    d = maximin_lhs(args.n, args.dims, args.seed, restarts=args.restarts)
+    d = maximin_lhs(args.n, len(specs), args.seed, restarts=args.restarts)
     write_design_csv(f"{args.out}_unit.csv", d, specs, unit=True)
     write_design_csv(f"{args.out}_phys.csv", d, specs, unit=False)
-    _log("design", n=args.n, dims=args.dims, seed=args.seed, restarts=args.restarts,
+    _log("design", n=args.n, dims=len(specs), seed=args.seed, restarts=args.restarts,
          min_distance=f"{d.min_distance():.6g}", out=args.out)
     return EXIT_OK
 
@@ -134,7 +130,7 @@ def cmd_simulate(args) -> int:
     specs = _load_specs(args.specs_file)
     config = PlantConfig(
         specs=specs,
-        noise_sd=args.noise if args.noise is not None else None,
+        noise_sd=args.noise,
         coupling=args.coupling,
         seed=args.seed,
     )
@@ -293,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="generate a maximin LHS design")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dims", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--specs-file", default=None)

@@ -195,14 +195,6 @@ def _f_points(data: Dataset, basis: RegressionBasis) -> np.ndarray:
     return out
 
 
-def _factor(params: MgpParams, data: Dataset):
-    """Lower Cholesky factor of the point-level covariance of replicate means,
-    Cz = M*C + nugget*I, and the diagonal jitter it needed (escalated on failure).
-    """
-    c = cov_matrix(data.x, params.sigma, params.phi, params.t, nugget=0.0)
-    return _factor_collapsed(c, data.reps, params.nugget)
-
-
 def _factor_collapsed(c: np.ndarray, reps: int, nugget: float):
     """Lower Cholesky factor of Cz = reps*c + nugget*I and the jitter it needed."""
     cz = reps * c + nugget * np.eye(c.shape[0])
@@ -223,20 +215,18 @@ def penalized_loglik(params: MgpParams, data: Dataset, basis: RegressionBasis) -
     """L1-penalized Gaussian log-likelihood of the stacked observations.
 
     -1/2 (log|R| + e' R^-1 e) - lambda*|beta|_1 - (N/2) log(2*pi), evaluated
-    through the exact replicate collapse.
+    through the exact replicate collapse: the ``diagnostics["loglik"]`` of
+    :func:`_condition`.  C comes from ``cov_matrix``, so this is the reference
+    the likelihood engine is checked against.
     """
-    if data.reps > 1 and params.nugget <= 0.0:
-        raise ValueError("replicated data requires a positive nugget")
-    chol_l, _ = _factor(params, data)
-    resid = np.concatenate(data.point_means()) - _f_points(data, basis) @ params.beta_concat()
-    ll, _ = _collapsed_loglik(chol_l, resid, data.reps, data.n_total, params.nugget,
-                              data.within_point_sse())
-    return ll - params.lam * float(np.sum(np.abs(params.beta_concat())))
+    return _condition(params, data, basis).diagnostics["loglik"]
 
 
 def _collapsed_loglik(chol_l, resid, m, n_total, nugget, sse):
     """Stacked-data log-likelihood from the factor of Cz = M*C + nugget*I and
     the point-level residual ȳ - Fβ, and a = Cz⁻¹ (ȳ - Fβ)."""
+    if m > 1 and nugget <= 0.0:
+        raise ValueError("replicated data requires a positive nugget")
     a = cho_solve((chol_l, True), resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
     ll = -0.5 * (n_total * np.log(2.0 * np.pi) + logdet + m * float(resid @ a))
@@ -304,12 +294,10 @@ class FitConfig:
     seed: int = 0
 
 
-# block-coordinate search: at most _MAX_ROUNDS (beta step, covariance step)
-# rounds of at most _COV_MAXITER L-BFGS-B iterations each; the rounds stop
-# once one raises the log-likelihood by less than _ROUND_TOL relative
+# block-coordinate search: _MAX_ROUNDS (beta step, covariance step) rounds of
+# at most _COV_MAXITER L-BFGS-B iterations each
 _MAX_ROUNDS = 4
 _COV_MAXITER = 60
-_ROUND_TOL = 1e-5
 _LAMBDA_GRID = (0.0, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)  # x N_total, for lam="auto"
 _PHI_INIT_RANGE = (0.1, 100.0)  # log-uniform phi of the random starts
 # diagnostics that fit() sums over its restarts and the univariate prefits:
@@ -473,9 +461,18 @@ class FittedModel:
 
 
 def _condition(params: MgpParams, data: Dataset, basis: RegressionBasis) -> FittedModel:
-    """Model conditioned on ``data`` at given parameters, in the units of ``data``."""
-    chol_l, jitter = _factor(params, data)
-    resid = np.concatenate(data.point_means()) - _f_points(data, basis) @ params.beta_concat()
+    """Model conditioned on ``data`` at given parameters, in the units of ``data``.
+
+    The one factorization of Cz = M*C + nugget*I (C from ``cov_matrix``, jitter
+    escalated on failure) gives the factor, α = M Cz⁻¹ (ȳ - Fβ) and the
+    penalized log-likelihood, kept as ``diagnostics["loglik"]``.
+    """
+    c = cov_matrix(data.x, params.sigma, params.phi, params.t, nugget=0.0)
+    chol_l, jitter = _factor_collapsed(c, data.reps, params.nugget)
+    beta = params.beta_concat()
+    resid = np.concatenate(data.point_means()) - _f_points(data, basis) @ beta
+    ll, a = _collapsed_loglik(chol_l, resid, data.reps, data.n_total, params.nugget,
+                              data.within_point_sse())
     return FittedModel(
         params=params,
         data=data,
@@ -483,8 +480,9 @@ def _condition(params: MgpParams, data: Dataset, basis: RegressionBasis) -> Fitt
         y_mean=np.zeros(data.k),
         y_scale=np.ones(data.k),
         chol=chol_l,
-        alpha=data.reps * cho_solve((chol_l, True), resid),
-        diagnostics={"jitter": jitter},
+        alpha=data.reps * a,
+        diagnostics={"loglik": float(ll - params.lam * float(np.sum(np.abs(beta)))),
+                     "jitter": jitter},
     )
 
 
@@ -532,7 +530,6 @@ def _fit_once(data, basis, lam, counts, start=None) -> FittedModel:
         s = np.sqrt(m_reps)
         return gls_beta_l1(chol_l, s * engine.f, s * engine.ybar, lam)
 
-    prev_obj = -np.inf
     n_iters = 0
     for _ in range(_MAX_ROUNDS):
         beta = beta_step(theta)
@@ -540,10 +537,6 @@ def _fit_once(data, basis, lam, counts, start=None) -> FittedModel:
         res = search(theta, bounds)
         theta = res.x
         n_iters += int(res.nit)
-        obj = -res.fun * data.n_total
-        if obj - prev_obj < _ROUND_TOL * max(1.0, abs(obj)):
-            break
-        prev_obj = obj
 
     # the rounds end on a covariance step: solve beta at the returned covariance
     sigma, phi, omega, nugget = _unpack(theta, k, l)
@@ -556,11 +549,7 @@ def _fit_once(data, basis, lam, counts, start=None) -> FittedModel:
         lam=lam,
     )
     model = _condition(params, data, basis)
-    model.diagnostics = {
-        "loglik": float(penalized_loglik(params, data, basis)),
-        "iterations": n_iters,
-        **model.diagnostics,
-    }
+    model.diagnostics["iterations"] = n_iters
     return model
 
 
@@ -571,9 +560,53 @@ def _standardize(data: Dataset):
     return Dataset(data.specs, data.x, ystd, data.reps, data.output_names), means, scales
 
 
-def fit(
-    data: Dataset, basis: RegressionBasis = None, config: FitConfig = None, *, _counts=None
-) -> FittedModel:
+def _fit_restarts(data, basis, lam, restarts, seed, counts) -> FittedModel:
+    """Best of ``restarts`` runs of _fit_once on ``data`` standardized, with
+    y_mean/y_scale set; for K > 1 the first run starts from univariate prefits."""
+    sdata, means, scales = _standardize(data)
+    rng = np.random.default_rng(seed)
+    best = None
+    errors = []
+    lo, hi = _PHI_INIT_RANGE
+    k, l = sdata.k, sdata.l
+    informed = None
+    if k > 1:
+        # informed first start: univariate prefits for sigma/phi/nugget and an
+        # empirical-correlation guess for the angles
+        try:
+            prefits = [_fit_restarts(sdata.sub_dataset(i), basis, 0.0, 2, seed, counts)
+                       for i in range(k)]
+            informed = _informed_start(sdata, prefits)
+        except FitError:
+            pass
+    for i in range(restarts):
+        if i == 0:
+            start = informed
+        elif informed is not None and i % 2 == 1:
+            # perturb the informed start
+            s0, p0, o0, n0 = informed
+            phi0 = p0 * np.exp(rng.normal(0.0, 0.5, size=(k, l)))
+            w = rng.uniform(0.4, 0.9)
+            om0 = np.clip(w * o0 + (1 - w) * np.pi / 2.0, ANGLE_EPS, np.pi - ANGLE_EPS)
+            start = (s0, phi0, om0, n0)
+        else:
+            phi0 = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(k, l)))
+            start = (np.ones(k), phi0, np.full(n_angles(k), np.pi / 2.0), 1e-2)
+        try:
+            model = _fit_once(sdata, basis, lam, counts, start=start)
+        except FitError as exc:
+            errors.append(str(exc))
+            continue
+        if best is None or model.diagnostics["loglik"] > best.diagnostics["loglik"]:
+            best = model
+    if best is None:
+        raise FitError(f"all {restarts} restarts failed: {errors}")
+    best.y_mean = means
+    best.y_scale = scales
+    return best
+
+
+def fit(data: Dataset, basis: RegressionBasis = None, config: FitConfig = None) -> FittedModel:
     """Maximum penalized-likelihood fit of all model parameters.
 
     Alternates an L1-penalized GLS step for the trend coefficients with a
@@ -587,58 +620,14 @@ def fit(
     """
     basis = basis or RegressionBasis("const")
     config = config or FitConfig()
-    if config.lam == "auto":
-        return _fit_auto(data, basis, config)
-    lam = float(config.lam)
-
-    sdata, means, scales = _standardize(data)
-    rng = np.random.default_rng(config.seed)
-    best = None
-    errors = []
-    lo, hi = _PHI_INIT_RANGE
-    k, l = sdata.k, sdata.l
-    starts = [None] * config.restarts
-    # every search of this fit counts, also those of restarts and prefits
-    # that fail; the prefits add theirs to this fit's counts
-    counts = dict.fromkeys(_SEARCH_COUNTS, 0) if _counts is None else _counts
-    if k > 1:
-        # informed first start: univariate prefits for sigma/phi/nugget and an
-        # empirical-correlation guess for the angles
-        try:
-            prefit_config = replace(config, lam=0.0, restarts=2)
-            prefits = [fit(sdata.sub_dataset(i), basis, prefit_config, _counts=counts)
-                       for i in range(k)]
-            starts[0] = _informed_start(sdata, prefits)
-        except FitError:
-            pass
-    for i in range(config.restarts):
-        start = starts[i]
-        if start is None and i > 0:
-            if starts[0] is not None and i % 2 == 1:
-                # perturb the informed start
-                s0, p0, o0, n0 = starts[0]
-                phi0 = p0 * np.exp(rng.normal(0.0, 0.5, size=(k, l)))
-                w = rng.uniform(0.4, 0.9)
-                om0 = np.clip(w * o0 + (1 - w) * np.pi / 2.0, ANGLE_EPS, np.pi - ANGLE_EPS)
-                start = (s0, phi0, om0, n0)
-            else:
-                phi0 = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(k, l)))
-                start = (np.ones(k), phi0, np.full(n_angles(k), np.pi / 2.0), 1e-2)
-        try:
-            model = _fit_once(sdata, basis, lam, counts, start=start)
-        except FitError as exc:
-            errors.append(str(exc))
-            continue
-        if best is None or model.diagnostics["loglik"] > best.diagnostics["loglik"]:
-            best = model
-    if best is None:
-        raise FitError(f"all {config.restarts} restarts failed: {errors}")
-    best.y_mean = means
-    best.y_scale = scales
-    best.diagnostics.update(counts)
-    best.diagnostics["restarts"] = config.restarts
-    best.diagnostics["lambda"] = lam
-    return best
+    lam = 0.0 if config.lam == "auto" else float(config.lam)
+    # every search of this fit counts, also those of restarts and prefits that fail
+    counts = dict.fromkeys(_SEARCH_COUNTS, 0)
+    model = _fit_restarts(data, basis, lam, config.restarts, config.seed, counts)
+    model.diagnostics.update(counts)
+    model.diagnostics["restarts"] = config.restarts
+    model.diagnostics["lambda"] = lam
+    return _relaxed_trend(model) if config.lam == "auto" else model
 
 
 def _informed_start(sdata: Dataset, prefits: list):
@@ -675,8 +664,7 @@ def _select_lambda(model0: FittedModel):
     index array and refit coefficients (zero off the support, concatenated
     over outputs); ties prefer the sparser support.
     """
-    data = model0.data  # standardized
-    chol_l, _ = _factor(model0.params, data)
+    data, chol_l = model0.data, model0.chol  # standardized
     f_pts = _f_points(data, model0.basis)
     ybar = np.concatenate(data.point_means())
     s = np.sqrt(data.reps)
@@ -700,16 +688,15 @@ def _select_lambda(model0: FittedModel):
     return lam_sel, support, beta
 
 
-def _fit_auto(data: Dataset, basis: RegressionBasis, config: FitConfig) -> FittedModel:
+def _relaxed_trend(model0: FittedModel) -> FittedModel:
     """lam="auto": the lam=0 fit's covariance with the BIC-selected relaxed trend."""
-    model0 = fit(data, basis, replace(config, lam=0.0))
     lam_sel, support, beta = _select_lambda(model0)
     params = replace(model0.params, beta=np.split(beta, model0.k))
-    model = _condition(params, model0.data, basis)
+    model = _condition(params, model0.data, model0.basis)
     model.y_mean, model.y_scale = model0.y_mean, model0.y_scale
     model.diagnostics = {
         **model0.diagnostics,
-        "loglik": float(penalized_loglik(params, model0.data, basis)),
+        "loglik": model.diagnostics["loglik"],
         "lambda": lam_sel,
         "support": support.tolist(),
     }

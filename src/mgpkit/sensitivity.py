@@ -86,22 +86,19 @@ def rank_inputs(result: EEResult, output: int) -> list:
     return [v for _, _, v in sorted(keys)]
 
 
+def _report_rows(result: EEResult) -> list:
+    """[output, input, mu, mu_star, sigma] per (output, input), numbers as .12g."""
+    stats = (result.mu, result.mu_star, result.sigma_ee)
+    return [[result.output_names[i], result.input_names[v], *(f"{s[i, v]:.12g}" for s in stats)]
+            for i in range(result.k) for v in range(result.l)]
+
+
 def ee_report(result: EEResult) -> str:
     """CSV of per-(output, input) statistics."""
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["output", "input", "mu", "mu_star", "sigma"])
-    for i in range(result.k):
-        for v in range(result.l):
-            w.writerow(
-                [
-                    result.output_names[i],
-                    result.input_names[v],
-                    f"{result.mu[i, v]:.12g}",
-                    f"{result.mu_star[i, v]:.12g}",
-                    f"{result.sigma_ee[i, v]:.12g}",
-                ]
-            )
+    w.writerows(_report_rows(result))
     return buf.getvalue()
 
 
@@ -116,11 +113,5 @@ def ee_ranking_text(result: EEResult) -> str:
 
 def ee_plot_data(result: EEResult) -> str:
     """Whitespace table for external plotting: output input mu mu_star sigma."""
-    lines = ["# output input mu mu_star sigma"]
-    for i in range(result.k):
-        for v in range(result.l):
-            lines.append(
-                f"{result.output_names[i]} {result.input_names[v]} "
-                f"{result.mu[i, v]:.12g} {result.mu_star[i, v]:.12g} {result.sigma_ee[i, v]:.12g}"
-            )
+    lines = ["# output input mu mu_star sigma"] + [" ".join(row) for row in _report_rows(result)]
     return "\n".join(lines) + "\n"

@@ -71,10 +71,6 @@ class TestDesign:
         unit2, phys2 = make_design(workdir, out="b")
         assert (digest(unit2), digest(phys2)) == h1
 
-    def test_dims_mismatch_is_data_error(self, workdir):
-        assert run(["design", "--n", "4", "--dims", "3",
-                    "--out", str(workdir / "d")]) == EXIT_DATA
-
     def test_custom_specs_file(self, workdir, capsys):
         specs = workdir / "specs.csv"
         specs.write_text("name,lower,upper\na,0,1\nb,2,4\n")
@@ -193,6 +189,18 @@ class TestPredict:
         bad.write_text('{"version": "other"}')
         unit, _ = make_design(workdir, n=4, out="pts")
         assert run(["predict", "--model", str(bad), "--points", str(unit)]) == EXIT_DATA
+
+    def test_replicated_model_with_zero_nugget_is_data_error(self, workdir, capsys):
+        # the replicate-SSE term of the likelihood divides by the nugget
+        model = make_model(workdir)  # 8 points x 2 reps
+        doc = json.loads(model.read_text())
+        doc["params"]["nugget"] = 0.0
+        model.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="positive nugget"):
+            model_from_json(model.read_text())
+        unit, _ = make_design(workdir, n=4, seed=3, out="pts")
+        assert run(["predict", "--model", str(model), "--points", str(unit)]) == EXIT_DATA
+        assert "replicated data requires a positive nugget" in capsys.readouterr().err
 
     def test_out_of_range_point_is_data_error(self, workdir):
         model = make_model(workdir)

@@ -252,13 +252,14 @@ class TestFitAndPredict:
     def test_likelihood_value_error_is_not_swallowed(self, monkeypatch):
         # only a failed factorization is a 1e12 penalty for the search; a
         # ValueError signals a bug and must reach the caller, from the
-        # search's own likelihood (the engine) and from the returned model's,
-        # also from the univariate prefits of a K = 2 fit's informed start
+        # search's own likelihood (the engine) and from the returned model's
+        # (computed by _condition), also from the univariate prefits of a
+        # K = 2 fit's informed start
         x = lhs(10, 1, seed=4).points
         k1 = Dataset(UNIT_SPECS_1D, [x], [np.sin(6 * x[:, 0])], 1, ["y"])
         k2 = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
                      ["a", "b"])
-        for owner, name in ((mgpkit.mgp, "penalized_loglik"), (_LoglikEngine, "loglik_grad")):
+        for owner, name in ((mgpkit.mgp, "_condition"), (_LoglikEngine, "loglik_grad")):
             for data in (k1, k2):
                 calls = []
                 original = getattr(owner, name)
@@ -532,6 +533,36 @@ class TestLoglikEngine:
                        ["a", "b"])
         model = fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=2))
         assert model.diagnostics["searches"] == len(searches)
+
+    def test_one_factorization_per_conditioned_model(self, monkeypatch):
+        # fit is entered once per call; each _fit_once run builds its returned
+        # covariance once (factor, α and ℓ from one factorization), and
+        # λ="auto" adds one conditioning of the relaxed trend at the λ=0
+        # covariance, whose factor it reuses
+        counts = {"cov_matrix": 0, "fit": 0, "_fit_once": 0}
+
+        def counted(name):
+            original = getattr(mgpkit.mgp, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(mgpkit.mgp, name, wrapper)
+
+        for name in counts:
+            counted(name)
+        x = lhs(10, 1, seed=4).points
+        k2 = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
+                     ["a", "b"])
+        mgpkit.mgp.fit(k2, RegressionBasis("const"), FitConfig(lam=0.0, restarts=2))
+        # two restarts of each univariate prefit, then the two joint restarts
+        assert counts == {"cov_matrix": 6, "fit": 1, "_fit_once": 6}
+
+        counts.update(dict.fromkeys(counts, 0))
+        mgpkit.mgp.fit(criterion6_like_data(), RegressionBasis("linear"),
+                       FitConfig(lam="auto", restarts=1))
+        assert counts == {"cov_matrix": 2, "fit": 1, "_fit_once": 1}
 
 
 class TestBatchedPrediction:
