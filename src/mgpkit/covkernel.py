@@ -173,19 +173,22 @@ def sq_diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return d2
 
 
+def harmonic_precisions(phi_i: np.ndarray, phi_j: np.ndarray) -> np.ndarray:
+    """Coordinate-wise harmonic mean H of two outputs' precisions, the H of
+    exp(-d' H d); per-pair rows (P x l) give one row per pair."""
+    return 2.0 * phi_i * phi_j / (phi_i + phi_j)
+
+
 def cov_block_from_sq_diffs(
-    d2: np.ndarray, phi_i: np.ndarray, phi_j: np.ndarray, scale: float = 1.0
+    d2: np.ndarray, harm: np.ndarray, normalizer: float, scale: float = 1.0
 ) -> np.ndarray:
     """scale * normalizer * exp(-d' H d) over squared differences ``d2``.
 
-    H is the coordinate-wise harmonic mean of the two outputs' precisions and
-    the normalizer is prod_k [AM(phi_k) * AM(1/phi_k)]^(-1/4) (1 when
-    phi_i == phi_j); with scale = sigma_i sigma_j T_ij this is the
-    cross-covariance block.
+    ``harm`` is H from :func:`harmonic_precisions` and ``normalizer`` the
+    factor from :func:`mean_normalizer`; with scale = sigma_i sigma_j T_ij
+    this is the cross-covariance block.
     """
-    harm = 2.0 * phi_i * phi_j / (phi_i + phi_j)
-    expo = np.exp(-np.einsum("abk,k->ab", d2, harm))
-    return scale * mean_normalizer(phi_i, phi_j) * expo
+    return scale * normalizer * np.exp(-np.einsum("abk,k->ab", d2, harm))
 
 
 def cross_cov_block(
@@ -211,7 +214,8 @@ def cross_cov_block(
     if pi.size != xa.shape[1]:
         raise ValueError("point dimension does not match roughness parameters")
     scale = sigma.sigma[i] * sigma.sigma[j] * t.t[i, j]
-    return cov_block_from_sq_diffs(sq_diffs(xa, xb), pi, pj, scale)
+    return cov_block_from_sq_diffs(sq_diffs(xa, xb), harmonic_precisions(pi, pj),
+                                   mean_normalizer(pi, pj), scale)
 
 
 def det_normalizer(phi_i: np.ndarray, phi_j: np.ndarray) -> float:
@@ -226,10 +230,12 @@ def det_normalizer(phi_i: np.ndarray, phi_j: np.ndarray) -> float:
     )
 
 
-def mean_normalizer(phi_i: np.ndarray, phi_j: np.ndarray) -> float:
-    """Determinant normalizer as a multiplying factor, arithmetic-mean form."""
+def mean_normalizer(phi_i: np.ndarray, phi_j: np.ndarray):
+    """Determinant normalizer as a multiplying factor, arithmetic-mean form:
+    prod_k [AM(phi_k) * AM(1/phi_k)]^(-1/4), 1 when phi_i == phi_j; per-pair
+    rows (P x l) give one normalizer per pair."""
     pi, pj = np.asarray(phi_i), np.asarray(phi_j)
-    return float(1.0 / np.prod(((pi + pj) / 2.0 * (1.0 / pi + 1.0 / pj) / 2.0) ** 0.25))
+    return 1.0 / np.prod(((pi + pj) / 2.0 * (1.0 / pi + 1.0 / pj) / 2.0) ** 0.25, axis=-1)
 
 
 def cov_matrix(
@@ -250,22 +256,12 @@ def cov_matrix(
     k = len(xs)
     xs = [np.atleast_2d(np.asarray(x, dtype=float)) for x in xs]
     offs = np.concatenate([[0], np.cumsum([x.shape[0] for x in xs])])
-    r = assemble_blocks(
-        ((i, j, cross_cov_block(xs[i], xs[j], i, j, sigma, phi, t))
-         for i in range(k) for j in range(i, k)),
-        offs,
-    )
-    r += nugget * np.eye(offs[-1])
-    return r
-
-
-def assemble_blocks(blocks, offs) -> np.ndarray:
-    """Symmetric matrix from its blocks (i, j, block) with i <= j, output i's
-    rows and columns at ``offs[i]:offs[i + 1]``; each block below the diagonal
-    is stored as the transpose of its mirror."""
     r = np.empty((offs[-1], offs[-1]))
-    for i, j, block in blocks:
-        r[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = block
-        if j > i:
-            r[offs[j] : offs[j + 1], offs[i] : offs[i + 1]] = block.T
+    for i in range(k):
+        for j in range(i, k):
+            block = cross_cov_block(xs[i], xs[j], i, j, sigma, phi, t)
+            r[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = block
+            if j > i:
+                r[offs[j] : offs[j + 1], offs[i] : offs[i + 1]] = block.T
+    r += nugget * np.eye(offs[-1])
     return r

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular, LinAlgError
-from scipy.linalg.lapack import dpotri
+from scipy.linalg import cholesky, solve_triangular, LinAlgError
+from scipy.linalg.lapack import dpotri, dpotrs
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
@@ -25,12 +25,13 @@ from .covkernel import (
     MarginalSds,
     RoughnessParams,
     angles_to_corr,
-    assemble_blocks,
     corr_and_angle_grads,
     corr_to_angles,
     cov_block_from_sq_diffs,
     cov_matrix,
     cross_cov_block,
+    harmonic_precisions,
+    mean_normalizer,
     n_angles,
     sq_diffs,
 )
@@ -196,19 +197,30 @@ def _f_points(data: Dataset, basis: RegressionBasis) -> np.ndarray:
 
 
 def _factor_collapsed(c: np.ndarray, reps: int, nugget: float):
-    """Lower Cholesky factor of Cz = reps*c + nugget*I and the jitter it needed."""
-    cz = reps * c + nugget * np.eye(c.shape[0])
+    """Lower Cholesky factor of Cz = reps*c + nugget*I and the jitter it needed.
+
+    ``c`` is overwritten with Cz.  Jitter * I is added, from 1e-10 up to 1e-6
+    times the mean diagonal of Cz, only after a factorization has failed.
+    """
+    cz, diag = c, slice(None, None, c.shape[0] + 1)
+    cz *= reps
+    cz.flat[diag] += nugget
+    try:
+        return cholesky(cz, lower=True), 0.0
+    except LinAlgError:
+        pass
     scale = float(np.mean(np.diag(cz)))
-    jitter = 0.0
-    while True:
+    jitter = 1e-10 * scale
+    while 0.0 < jitter <= 1e-6 * scale:  # no jitter rescues a diagonal mean <= 0
+        jittered = cz.copy()
+        jittered.flat[diag] += jitter
         try:
-            return cholesky(cz + jitter * np.eye(cz.shape[0]), lower=True), jitter
+            return cholesky(jittered, lower=True), jitter
         except LinAlgError:
-            jitter = 1e-10 * scale if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-6 * scale:
-                raise NonPositiveDefiniteError(
-                    "covariance matrix is not positive definite (jitter escalation failed)"
-                )
+            jitter *= 10.0
+    raise NonPositiveDefiniteError(
+        "covariance matrix is not positive definite (jitter escalation failed)"
+    )
 
 
 def penalized_loglik(params: MgpParams, data: Dataset, basis: RegressionBasis) -> float:
@@ -227,7 +239,9 @@ def _collapsed_loglik(chol_l, resid, m, n_total, nugget, sse):
     the point-level residual ȳ - Fβ, and a = Cz⁻¹ (ȳ - Fβ)."""
     if m > 1 and nugget <= 0.0:
         raise ValueError("replicated data requires a positive nugget")
-    a = cho_solve((chol_l, True), resid)
+    a, info = dpotrs(chol_l, resid, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
     ll = -0.5 * (n_total * np.log(2.0 * np.pi) + logdet + m * float(resid @ a))
     if m > 1:
@@ -356,7 +370,9 @@ class _LoglikEngine:
     factors it once and returns ℓ and
     ∂ℓ/∂θ = ½ tr[(M a a' − Cz⁻¹) ∂Cz/∂θ] with a = Cz⁻¹(ȳ − Fβ) (Rasmussen &
     Williams 2006, §5.4.1), plus the nugget's replicate-SSE term, through the
-    hypersphere map of the angles and the log/logit packing.
+    hypersphere map of the angles and the log/logit packing.  Only the n×n
+    work runs per output pair; the pairs' constants and gradient algebra are
+    arrays over all P = K(K+1)/2 pairs.
     """
 
     def __init__(self, data: Dataset, basis: RegressionBasis):
@@ -365,19 +381,37 @@ class _LoglikEngine:
         self.ybar = np.concatenate(data.point_means())
         self.f = _f_points(data, basis)
         self.sse = data.within_point_sse()
-        self.offs = np.concatenate([[0], np.cumsum([len(xi) for xi in data.x])])
-        self.pairs = [(i, j, sq_diffs(data.x[i], data.x[j]))
-                      for i in range(self.k) for j in range(i, self.k)]
+        o = np.concatenate([[0], np.cumsum([len(xi) for xi in data.x])])
+        self.ii, self.jj = np.triu_indices(self.k)  # pairs i <= j, row by row
+        self.blocks = [(slice(o[i], o[i + 1]), slice(o[j], o[j + 1]))
+                       for i, j in zip(self.ii, self.jj)]
+        self.d2 = [sq_diffs(data.x[i], data.x[j]) for i, j in zip(self.ii, self.jj)]
+        # outputs i and j of each pair, in pair order: each output's gradient
+        # adds the pairs' terms in this order
+        self.ends = np.column_stack([self.ii, self.jj]).ravel()
+        self.cross = self.ii < self.jj
+        # ½M, doubled for the blocks off the diagonal, which C holds twice
+        self.half = 0.5 * self.reps * np.where(self.cross, 2.0, 1.0)
 
     def _c(self, sigma, phi, t):
-        """C and the per-pair kernels without sigma_i sigma_j T_ij."""
-        kernels = [cov_block_from_sq_diffs(d2, phi[i], phi[j]) for i, j, d2 in self.pairs]
-        c = assemble_blocks(
-            ((i, j, (sigma[i] * sigma[j] * t[i, j]) * e)
-             for (i, j, _), e in zip(self.pairs, kernels)),
-            self.offs,
-        )
-        return c, kernels
+        """C, the per-pair kernels without sigma_i sigma_j T_ij, and per pair:
+        (φ_i, φ_j) as a P x 2 x l array, H, sigma_i sigma_j and
+        sigma_i sigma_j T_ij."""
+        phi_ends = phi[self.ends].reshape(-1, 2, self.l)
+        pi, pj = phi_ends[:, 0], phi_ends[:, 1]
+        harm = harmonic_precisions(pi, pj)
+        norm = mean_normalizer(pi, pj)
+        s = sigma[self.ii] * sigma[self.jj]
+        st = s * t[self.ii, self.jj]
+        c = np.empty((self.n_points, self.n_points))
+        kernels = []
+        for p, ((rows, cols), d2) in enumerate(zip(self.blocks, self.d2)):
+            e = cov_block_from_sq_diffs(d2, harm[p], norm[p])
+            np.multiply(st[p], e, out=c[rows, cols])
+            if rows != cols:
+                c[cols, rows] = c[rows, cols].T
+            kernels.append(e)
+        return c, kernels, (phi_ends, harm, s, st)
 
     def factor(self, theta):
         """Lower Cholesky factor of Cz at θ and the jitter it needed."""
@@ -388,45 +422,53 @@ class _LoglikEngine:
     def loglik_grad(self, theta, beta, lam=0.0):
         """(ℓ, ∂ℓ/∂θ) at θ for the concatenated trend ``beta``; ℓ equals
         :func:`penalized_loglik` of the same parameters."""
-        k, l, m, o = self.k, self.l, self.reps, self.offs
+        k, l, m = self.k, self.l, self.reps
         sigma, phi, omega, nugget = _unpack(theta, k, l)
         t, dt_domega = corr_and_angle_grads(omega, k)
-        c, kernels = self._c(sigma, phi, t)
+        c, kernels, (phi_ends, harm, s, st) = self._c(sigma, phi, t)
         chol_l, _ = _factor_collapsed(c, m, nugget)
         ll, a = _collapsed_loglik(chol_l, self.ybar - self.f @ beta, m, self.n_total, nugget,
                                   self.sse)
         ll -= lam * float(np.sum(np.abs(beta)))
 
-        inv_lower, info = dpotri(chol_l, lower=1)
+        # dpotri fills the lower triangle; the factor's upper triangle is zero
+        inv, info = dpotri(chol_l, lower=1, overwrite_c=1)
         if info != 0:
             raise NonPositiveDefiniteError(f"inverse from the Cholesky factor failed (info {info})")
-        cz_inv = np.tril(inv_lower) + np.tril(inv_lower, -1).T
-        w = m * np.outer(a, a) - cz_inv  # ∂ℓ/∂Cz, doubled
-        g_sigma, g_phi, g_t = np.zeros(k), np.zeros((k, l)), np.zeros((k, k))
-        for (i, j, d2), e in zip(self.pairs, kernels):
-            we = w[o[i] : o[i + 1], o[j] : o[j + 1]] * e
-            q = float(we.sum())
-            s_ij = sigma[i] * sigma[j]
-            # Σ W∘C over the block, and the same weighted by each D²_d
-            s0 = s_ij * t[i, j] * q
-            s_d = s_ij * t[i, j] * (we.ravel() @ d2.reshape(-1, l))
-            half = 0.5 * m * (1.0 if i == j else 2.0)  # off-diagonal blocks appear twice
-            den = phi[i] + phi[j]
-            harm = 2.0 * phi[i] * phi[j] / den
-            # ∂log C_ij/∂log φ_id = (¼ − ½φ_id/(φ_id+φ_jd)) − h_d φ_jd/(φ_id+φ_jd) D²_d
-            g_phi[i] += half * ((0.25 - 0.5 * phi[i] / den) * s0 - harm * phi[j] / den * s_d)
-            g_phi[j] += half * ((0.25 - 0.5 * phi[j] / den) * s0 - harm * phi[i] / den * s_d)
-            g_sigma[i] += half * s0
-            g_sigma[j] += half * s0
-            if i < j:
-                g_t[i, j] = m * s_ij * q
+        cz_inv = inv + inv.T
+        cz_inv.flat[:: self.n_points + 1] *= 0.5
+        w = np.outer(a, a)  # ∂ℓ/∂Cz, doubled: M a a' − Cz⁻¹
+        w *= m
+        w -= cz_inv
+        # per pair: Σ W∘E over the block, and the same weighted by each D²_d
+        q = np.empty(len(kernels))
+        r = np.empty((len(kernels), l))
+        for p, ((rows, cols), d2, e) in enumerate(zip(self.blocks, self.d2, kernels)):
+            we = w[rows, cols] * e
+            q[p] = we.sum()
+            r[p] = we.ravel() @ d2.reshape(-1, l)
+        s0 = st * q  # Σ W∘C
+        s_d = st[:, None] * r
+        # each pair's terms for its outputs i and j: σ (column 0), then φ by
+        # ∂log C_ij/∂log φ_id = (¼ − ½φ_id/(φ_id+φ_jd)) − h_d φ_jd/(φ_id+φ_jd) D²_d
+        den = (phi_ends[:, 0] + phi_ends[:, 1])[:, None]
+        terms = np.empty((len(kernels), 2, 1 + l))
+        terms[:, :, 0] = (self.half * s0)[:, None]
+        np.multiply(self.half[:, None, None],
+                    (0.25 - 0.5 * phi_ends / den) * s0[:, None, None]
+                    - harm[:, None] * phi_ends[:, ::-1] / den * s_d[:, None],
+                    out=terms[:, :, 1:])
+        g = np.zeros((k, 1 + l))
+        np.add.at(g, self.ends, terms.reshape(-1, 1 + l))  # in order, repeats accumulate
+        g_t = np.zeros((k, k))
+        g_t[self.ii, self.jj] = np.where(self.cross, m * s * q, 0.0)  # T's diagonal is fixed
         g_omega = np.einsum("ij,pij->p", g_t, dt_domega)
         u = theta[k + k * l : k + k * l + n_angles(k)]
         ex = expit(u)  # inside _OMEGA_U_BOUNDS the clip of omega to ANGLE_EPS never binds
         g_u = g_omega * np.pi * ex * (1.0 - ex)
         n_extra = self.n_total - self.n_points
         g_nugget = 0.5 * float(np.trace(w)) - 0.5 * (n_extra / nugget - self.sse / nugget ** 2)
-        return ll, np.concatenate([g_sigma, g_phi.ravel(), g_u, [nugget * g_nugget]])
+        return ll, np.concatenate([g[:, 0], g[:, 1:].ravel(), g_u, [nugget * g_nugget]])
 
 
 @dataclass
