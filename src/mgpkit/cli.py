@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .design import (
     InputSpec,
+    format_csv_rows,
     maximin_lhs,
     morris_trajectories,
     read_design_csv,
@@ -200,19 +201,13 @@ def cmd_predict(args) -> int:
     design = read_design_csv(args.points, specs)
     mean, sd = predict_batch(model, design.points)
     names = model.data.output_names
+    header = [s.name for s in specs]
+    for nm in names:
+        header += [f"{nm}_mean", f"{nm}_sd", f"{nm}_lo", f"{nm}_hi"]
+    bands = np.stack([mean, sd, mean - 2 * sd, mean + 2 * sd], axis=2).reshape(design.n, -1)
     with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = [s.name for s in specs]
-        for nm in names:
-            header += [f"{nm}_mean", f"{nm}_sd", f"{nm}_lo", f"{nm}_hi"]
-        w.writerow(header)
-        phys = scale_design(design, specs)
-        for i in range(design.n):
-            row = [f"{v:.12g}" for v in phys[i]]
-            for j in range(len(names)):
-                m, s = mean[i, j], sd[i, j]
-                row += [f"{m:.12g}", f"{s:.12g}", f"{m - 2 * s:.12g}", f"{m + 2 * s:.12g}"]
-            w.writerow(row)
+        csv.writer(fh).writerow(header)
+        fh.write(format_csv_rows(np.hstack([scale_design(design, specs), bands])))
     _log("predict", model=args.model, points=args.points, rows=design.n, out=args.out)
     return EXIT_OK
 

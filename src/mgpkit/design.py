@@ -178,10 +178,19 @@ def write_design_csv(path, d: DesignMatrix, specs: list[InputSpec], unit: bool =
         header = [s.name for s in specs]
         data = scale_design(d, specs)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in data:
-            w.writerow([f"{v:.12g}" for v in row])
+        csv.writer(fh).writerow(header)
+        fh.write(format_csv_rows(data))
+
+
+def format_csv_rows(table: np.ndarray) -> str:
+    """CSV lines of a 2-d float table, every value as ``.12g``, in one pass.
+
+    The text equals what ``csv.writer`` writes for ``[f"{v:.12g}" for v in row]``:
+    such fields never need quoting, and ``\\r\\n`` is its line ending.
+    """
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.12g"] * table.shape[1]) + "\r\n"
+    return "".join([line % tuple(row) for row in table.tolist()])
 
 
 def read_design_csv(path, specs: list[InputSpec]) -> DesignMatrix:

@@ -29,7 +29,7 @@ from .covkernel import (
     corr_to_angles,
     cov_block_from_sq_diffs,
     cov_matrix,
-    cross_cov_block,
+    cross_cov_block,  # not called here; kept as mgp.cross_cov_block, which span tracers wrap
     harmonic_precisions,
     mean_normalizer,
     n_angles,
@@ -772,23 +772,34 @@ def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
 
     Rows go in blocks of b: row o*b + i of the cross-covariance r pairs output
     o at query row i with every training point, so one triangular solve with
-    K*b right-hand sides gives every variance of the block.
+    K*b right-hand sides gives every variance of the block.  Column group j
+    (training set j) shares one squared-difference tensor across its K blocks.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     data, p = model.data, model.params
-    k, t = data.k, p.t  # p.t rebuilds T from the angles on every access
+    k, t = data.k, p.t.t  # p.t rebuilds T from the angles on every access
+    sigma, phi = p.sigma.sigma, p.phi.phi
+    offs = np.concatenate([[0], np.cumsum([xj.shape[0] for xj in data.x])])
+    # H, normalizer and scale of each output pair (o, j), the same for every block
+    pair = {(o, j): (harmonic_precisions(phi[o], phi[j]), mean_normalizer(phi[o], phi[j]),
+                     sigma[o] * sigma[j] * t[o, j]) for o in range(k) for j in range(k)}
     beta = np.column_stack(p.beta)
     means = np.empty((x.shape[0], k))
     sds = np.empty((x.shape[0], k))
     for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
         xb = x[lo : lo + PREDICT_BLOCK_ROWS]
-        r = np.block([[cross_cov_block(xb, data.x[j], o, j, p.sigma, p.phi, t) for j in range(k)]
-                      for o in range(k)])
+        b = len(xb)
+        r = np.empty((k * b, offs[-1]))
+        for j in range(k):
+            d2 = sq_diffs(xb, data.x[j])
+            for o in range(k):
+                r[o * b : (o + 1) * b, offs[j] : offs[j + 1]] = cov_block_from_sq_diffs(
+                    d2, *pair[o, j])
         mean_std = model.basis.evaluate(xb) @ beta + (r @ model.alpha).reshape(k, -1).T
         v = solve_triangular(model.chol, r.T, lower=True)
-        var_std = p.sigma.sigma ** 2 + p.nugget - data.reps * (v * v).sum(axis=0).reshape(k, -1).T
-        means[lo : lo + len(xb)] = model.y_mean + model.y_scale * mean_std
-        sds[lo : lo + len(xb)] = model.y_scale * np.sqrt(np.maximum(var_std, 0.0))
+        var_std = sigma ** 2 + p.nugget - data.reps * (v * v).sum(axis=0).reshape(k, -1).T
+        means[lo : lo + b] = model.y_mean + model.y_scale * mean_std
+        sds[lo : lo + b] = model.y_scale * np.sqrt(np.maximum(var_std, 0.0))
     return means, sds
 
 

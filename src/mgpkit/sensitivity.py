@@ -39,7 +39,8 @@ def elementary_effects(f, trajectories: list, specs: list, output_names: list = 
 
     ``f`` maps an m x l array of unit-cube points to an m x K array of
     outputs (a vector when K = 1); any physical scaling happens inside f.
-    It is called once per trajectory, on that trajectory's (l+1) x l points.
+    It is called once, on every trajectory's (l+1) x l points stacked in
+    order, and its rows are split back per trajectory.
     Each trajectory contributes one effect per input:
     (f(after) - f(before)) / signed_step.
     """
@@ -48,15 +49,21 @@ def elementary_effects(f, trajectories: list, specs: list, output_names: list = 
     l = trajectories[0].l
     if len(specs) != l:
         raise ValueError(f"trajectories have dimension {l} but {len(specs)} input specs given")
+    points = np.vstack([traj.points for traj in trajectories])
+    m = points.shape[0]
+    try:
+        vals = np.atleast_1d(np.asarray(f(points), dtype=float))
+    except Exception as exc:
+        raise RuntimeError(f"model evaluation failed on {m} points: {exc}") from exc
+    if vals.ndim > 2 or vals.shape[0] != m:
+        raise RuntimeError(f"model returned {vals.shape[0]} rows (shape {vals.shape}) "
+                           f"for {m} points; expected {m} rows")
+    vals = vals.reshape(len(trajectories), l + 1, -1)
     rows = []
-    for t_i, traj in enumerate(trajectories):
-        try:
-            vals = np.asarray(f(traj.points), dtype=float).reshape(l + 1, -1)
-        except Exception as exc:
-            raise RuntimeError(f"model evaluation failed on trajectory {t_i}: {exc}") from exc
+    for traj, tv in zip(trajectories, vals):
         steps = traj.signed_steps()
-        per_input = np.empty((vals.shape[1], l))
-        per_input[:, list(traj.varied_index)] = ((vals[1:] - vals[:-1]) / steps[:, None]).T
+        per_input = np.empty((tv.shape[1], l))
+        per_input[:, list(traj.varied_index)] = ((tv[1:] - tv[:-1]) / steps[:, None]).T
         rows.append(per_input)
     effects = np.array(rows)  # r x K x l
     r = effects.shape[0]

@@ -5,8 +5,10 @@ checks (1 and 2) stay within a few minutes each on a single core.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -262,6 +264,11 @@ def test_criterion_7_morris_screening():
 
 
 def test_criterion_8_cli_determinism(tmp_path):
+    # the subprocesses import mgpkit from this checkout, as pytest's pythonpath does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
     def run_all(root):
         root.mkdir()
         env_cmds = [
@@ -277,7 +284,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         ]
         for cmd in env_cmds:
             proc = subprocess.run([sys.executable, "-m", "mgpkit.cli"] + cmd,
-                                  capture_output=True, text=True)
+                                  capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
         files = ["d_unit.csv", "d_phys.csv", "train.csv", "model.json",
                  "pred.csv", "s_ee.csv", "s_ee_plot.dat"]

@@ -1,13 +1,14 @@
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
 from mgpkit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from mgpkit.design import morris_trajectories
-from mgpkit.mgp import model_from_json, predict
+from mgpkit.design import maximin_lhs, morris_trajectories, read_design_csv, scale_design
+from mgpkit.mgp import model_from_json, predict, predict_batch
 from mgpkit.plantsim import DEFAULT_SPECS
 
 
@@ -23,6 +24,15 @@ def digest(path):
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+def per_value_csv(header, rows):
+    """CSV bytes as csv.writer writes them with every number formatted f"{v:.12g}"."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows([f"{v:.12g}" for v in row] for row in rows)
+    return buf.getvalue().encode()
 
 
 def make_design(workdir, n=8, seed=0, out="d"):
@@ -183,6 +193,31 @@ class TestPredict:
         np.testing.assert_allclose(
             first["HPT_hi"] - first["HPT_mean"], 2 * first["HPT_sd"], rtol=1e-9
         )
+
+    def test_files_equal_per_value_csv_writer(self, workdir):
+        model_path = make_model(workdir)
+        unit, phys = make_design(workdir, n=7, seed=3, out="pts")
+        specs = list(DEFAULT_SPECS)
+        d = maximin_lhs(7, len(specs), 3, restarts=3)
+        assert unit.read_bytes() == per_value_csv([f"u_{s.name}" for s in specs], d.points)
+        assert phys.read_bytes() == per_value_csv([s.name for s in specs],
+                                                  scale_design(d, specs))
+
+        out = workdir / "pred.csv"
+        assert run(["predict", "--model", str(model_path), "--points", str(unit),
+                    "--out", str(out)]) == EXIT_OK
+        model = model_from_json(model_path.read_text())
+        design = read_design_csv(unit, specs)
+        mean, sd = predict_batch(model, design.points)
+        header = [s.name for s in specs] + [f"{nm}_{col}" for nm in model.data.output_names
+                                            for col in ("mean", "sd", "lo", "hi")]
+        rows = []
+        for i, x in enumerate(scale_design(design, specs)):
+            row = list(x)
+            for m, s in zip(mean[i], sd[i]):
+                row += [m, s, m - 2 * s, m + 2 * s]
+            rows.append(row)
+        assert out.read_bytes() == per_value_csv(header, rows)
 
     def test_corrupt_model_is_data_error(self, workdir):
         bad = workdir / "bad.json"

@@ -1,9 +1,13 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from mgpkit.design import (
     DesignMatrix,
     InputSpec,
+    format_csv_rows,
     lhs,
     maximin_lhs,
     morris_trajectories,
@@ -157,6 +161,24 @@ class TestDesignCsv:
         write_design_csv(path, d, TABLE_SPECS, unit=True)
         back = read_design_csv(path, TABLE_SPECS)
         np.testing.assert_allclose(back.points, d.points, atol=1e-12)
+
+    @staticmethod
+    def _per_value_rows(table):
+        """The writer format_csv_rows replaced: csv.writer over f"{v:.12g}" per value."""
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        for row in table:
+            w.writerow([f"{v:.12g}" for v in row])
+        return buf.getvalue()
+
+    def test_format_csv_rows_matches_per_value_writer(self):
+        awkward = np.array([
+            [-0.0, 1e16, 1e-7, 123456789012345.0, 0.1 + 0.2],
+            [1e-5, 1e-4, 1e22, -2.5e-300, np.inf],
+            [0.0, -1.5, 1.0 / 3.0, 2.0 ** 60, 999999999999.5],
+        ])
+        for table in (awkward, awkward[:, :1], lhs(9, 6, seed=2).points):
+            assert format_csv_rows(table) == self._per_value_rows(table)
 
     def test_bad_cell_reports_location(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, cholesky
+from scipy.linalg import block_diag, cholesky, solve_triangular
 
 from mgpkit.covkernel import (
     CrossCorrAngles,
@@ -11,6 +11,7 @@ from mgpkit.covkernel import (
     RoughnessParams,
     angles_to_corr,
     cov_matrix,
+    cross_cov_block,
 )
 from mgpkit.design import InputSpec, lhs
 import mgpkit.mgp
@@ -624,6 +625,26 @@ class TestLoglikEngine:
         assert counts == {"cov_matrix": 2, "fit": 1, "_fit_once": 1}
 
 
+def per_pair_predict_batch(model, x):
+    """predict_batch assembled from K^2 cross_cov_block calls and np.block,
+    with the same blocking and solve: the reference for bit-equality."""
+    data, p = model.data, model.params
+    k, t = data.k, p.t
+    beta = np.column_stack(p.beta)
+    means, sds = np.empty((len(x), k)), np.empty((len(x), k))
+    rows = mgpkit.mgp.PREDICT_BLOCK_ROWS
+    for lo in range(0, len(x), rows):
+        xb = x[lo : lo + rows]
+        r = np.block([[cross_cov_block(xb, data.x[j], o, j, p.sigma, p.phi, t) for j in range(k)]
+                      for o in range(k)])
+        mean_std = model.basis.evaluate(xb) @ beta + (r @ model.alpha).reshape(k, -1).T
+        v = solve_triangular(model.chol, r.T, lower=True)
+        var_std = p.sigma.sigma ** 2 + p.nugget - data.reps * (v * v).sum(axis=0).reshape(k, -1).T
+        means[lo : lo + len(xb)] = model.y_mean + model.y_scale * mean_std
+        sds[lo : lo + len(xb)] = model.y_scale * np.sqrt(np.maximum(var_std, 0.0))
+    return means, sds
+
+
 class TestBatchedPrediction:
     def test_matches_dense_kriging_oracle(self, monkeypatch):
         # K=3 with replicates, a correlated T, a linear trend and non-trivial
@@ -669,6 +690,26 @@ class TestBatchedPrediction:
         preds = [predict(model, x0) for x0 in xq]
         np.testing.assert_allclose([pr.mean for pr in preds], mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose([pr.sd for pr in preds], sd, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sizes, reps", [((5, 9, 7), 2), ((8,), 1)],
+                             ids=["heterotopic-k3", "k1"])
+    def test_predict_batch_equals_per_pair_assembly(self, monkeypatch, sizes, reps):
+        # 11 query rows in blocks of 4: two full blocks and a ragged one
+        monkeypatch.setattr("mgpkit.mgp.PREDICT_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(21)
+        k, l = len(sizes), 2
+        xs = [rng.uniform(size=(n, l)) for n in sizes]
+        ys = [rng.normal(size=n * reps) for n in sizes]
+        data = Dataset(UNIT_SPECS_2D, xs, ys, reps, [f"y{i}" for i in range(k)])
+        basis = RegressionBasis("linear")
+        model = _condition(make_params(k, l, 3, rng, nugget=0.2), data, basis)
+        model.y_mean = rng.normal(size=k)
+        model.y_scale = rng.uniform(0.5, 3.0, size=k)
+        xq = rng.uniform(-0.1, 1.1, size=(11, l))
+        mean, sd = predict_batch(model, xq)
+        ref_mean, ref_sd = per_pair_predict_batch(model, xq)
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(sd, ref_sd)
 
 
 class TestRmse:

@@ -74,10 +74,10 @@ class TestElementaryEffects:
         def bad(x):
             raise RuntimeError("boom")
 
-        with pytest.raises(RuntimeError, match="trajectory 0"):
+        with pytest.raises(RuntimeError, match="model evaluation failed"):
             elementary_effects(bad, ts, SPECS_3)
 
-    def test_one_call_per_trajectory(self):
+    def test_one_call_on_stacked_trajectories(self):
         ts = morris_trajectories(5, 3, delta=0.3, seed=6)
         seen = []
 
@@ -86,20 +86,16 @@ class TestElementaryEffects:
             return affine(x)
 
         elementary_effects(record, ts, SPECS_3)
-        assert len(seen) == len(ts)
-        for x, traj in zip(seen, ts):
-            np.testing.assert_array_equal(x, traj.points)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], np.vstack([t.points for t in ts]))
 
-    def test_wrong_output_rows_name_the_trajectory(self):
-        ts = morris_trajectories(3, 3, delta=0.3, seed=7)
-        calls = []
-
-        def short_on_second(x):
-            calls.append(1)
-            return affine(x if len(calls) != 2 else x[:-1])
-
-        with pytest.raises(RuntimeError, match="trajectory 1"):
-            elementary_effects(short_on_second, ts, SPECS_3)
+    def test_wrong_output_rows_name_the_counts(self):
+        ts = morris_trajectories(3, 3, delta=0.3, seed=7)  # 3 x (3 + 1) = 12 points
+        one_short = lambda x: affine(x[:-1])
+        doubled = lambda x: affine(np.vstack([x, x]))  # 24 values for one output
+        for wrong, returned in ((one_short, 11), (doubled, 24)):
+            with pytest.raises(RuntimeError, match=f"returned {returned} rows .* for 12 points"):
+                elementary_effects(wrong, ts, SPECS_3)
 
 
 class TestRankInputs:
