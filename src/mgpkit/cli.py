@@ -151,9 +151,7 @@ def cmd_simulate(args) -> int:
 
 
 def _fit_config(args) -> FitConfig:
-    lam = args.lam
-    if lam != "auto":
-        lam = float(lam)
+    lam = args.lam if args.lam == "auto" else float(args.lam)
     return FitConfig(lam=lam, restarts=args.restarts, seed=args.seed)
 
 

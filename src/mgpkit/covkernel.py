@@ -182,13 +182,14 @@ def harmonic_precisions(phi_i: np.ndarray, phi_j: np.ndarray) -> np.ndarray:
 def cov_block_from_sq_diffs(
     d2: np.ndarray, harm: np.ndarray, normalizer: float, scale: float = 1.0
 ) -> np.ndarray:
-    """scale * normalizer * exp(-d' H d) over squared differences ``d2``.
+    """scale * (normalizer * exp(-d' H d)) over squared differences ``d2``.
 
     ``harm`` is H from :func:`harmonic_precisions` and ``normalizer`` the
     factor from :func:`mean_normalizer`; with scale = sigma_i sigma_j T_ij
-    this is the cross-covariance block.
+    this is the cross-covariance block.  The kernel is scaled once formed, as
+    the likelihood engine scales it, so both give the same bits.
     """
-    return scale * normalizer * np.exp(-np.einsum("abk,k->ab", d2, harm))
+    return scale * (normalizer * np.exp(-np.einsum("abk,k->ab", d2, harm)))
 
 
 def cross_cov_block(

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, LinAlgError
+from scipy.linalg import block_diag, cholesky, solve_triangular, LinAlgError
 from scipy.linalg.lapack import dpotri, dpotrs
 from scipy.optimize import minimize
 from scipy.special import expit, logit
@@ -28,8 +29,9 @@ from .covkernel import (
     corr_and_angle_grads,
     corr_to_angles,
     cov_block_from_sq_diffs,
+    # not called here; kept as mgp.cov_matrix and mgp.cross_cov_block, which span tracers wrap
     cov_matrix,
-    cross_cov_block,  # not called here; kept as mgp.cross_cov_block, which span tracers wrap
+    cross_cov_block,
     harmonic_precisions,
     mean_normalizer,
     n_angles,
@@ -182,18 +184,8 @@ class MgpParams:
 
 
 def _f_points(data: Dataset, basis: RegressionBasis) -> np.ndarray:
-    """Block-diagonal trend matrix over design points only (one row per point).
-
-    Built by hand: every likelihood evaluation calls this, and
-    ``scipy.linalg.block_diag`` takes about ten times as long.
-    """
-    q = basis.width(data.l)
-    out = np.zeros((data.n_points, data.k * q))
-    r = 0
-    for i, xi in enumerate(data.x):
-        out[r : r + len(xi), i * q : (i + 1) * q] = basis.evaluate(xi)
-        r += len(xi)
-    return out
+    """Block-diagonal trend matrix over design points only (one row per point)."""
+    return block_diag(*[basis.evaluate(xi) for xi in data.x])
 
 
 def _factor_collapsed(c: np.ndarray, reps: int, nugget: float):
@@ -228,25 +220,11 @@ def penalized_loglik(params: MgpParams, data: Dataset, basis: RegressionBasis) -
 
     -1/2 (log|R| + e' R^-1 e) - lambda*|beta|_1 - (N/2) log(2*pi), evaluated
     through the exact replicate collapse: the ``diagnostics["loglik"]`` of
-    :func:`_condition`.  C comes from ``cov_matrix``, so this is the reference
-    the likelihood engine is checked against.
+    :func:`_condition`.  Its references are dense inversions of the stacked
+    covariance: ``dense_oracle_loglik`` in the tests and ``DenseModel.loglik`` in
+    ``bench/checks.py``.
     """
     return _condition(params, data, basis).diagnostics["loglik"]
-
-
-def _collapsed_loglik(chol_l, resid, m, n_total, nugget, sse):
-    """Stacked-data log-likelihood from the factor of Cz = M*C + nugget*I and
-    the point-level residual ȳ - Fβ, and a = Cz⁻¹ (ȳ - Fβ)."""
-    if m > 1 and nugget <= 0.0:
-        raise ValueError("replicated data requires a positive nugget")
-    a, info = dpotrs(chol_l, resid, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
-    ll = -0.5 * (n_total * np.log(2.0 * np.pi) + logdet + m * float(resid @ a))
-    if m > 1:
-        ll -= 0.5 * ((n_total - len(resid)) * np.log(nugget) + sse / nugget)
-    return ll, a
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +285,12 @@ class FitConfig:
     restarts: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.lam != "auto" and not (isinstance(self.lam, Real) and 0.0 <= self.lam < np.inf):
+            raise ValueError(f"lambda must be 'auto' or a finite number >= 0, got {self.lam!r}")
+
 
 # block-coordinate search: _MAX_ROUNDS (beta step, covariance step) rounds of
 # at most _COV_MAXITER L-BFGS-B iterations each
@@ -360,9 +344,18 @@ def _theta_bounds(k, l):
     )
 
 
+def _pair_constants(sigma, phi, t, ii, jj):
+    """Per output pair (ii[p], jj[p]): (φ_i, φ_j) as a P x 2 x l array, H,
+    the normalizer, sigma_i sigma_j and sigma_i sigma_j T_ij."""
+    phi_ends = np.stack([phi[ii], phi[jj]], axis=1)
+    pi, pj = phi_ends[:, 0], phi_ends[:, 1]
+    s = sigma[ii] * sigma[jj]
+    return phi_ends, harmonic_precisions(pi, pj), mean_normalizer(pi, pj), s, s * t[ii, jj]
+
+
 class _LoglikEngine:
-    """Log-likelihood and its exact gradient in the packed parameters θ, for
-    one standardized dataset and trend basis.
+    """Log-likelihood and its exact gradient in the packed parameters θ, and
+    the model conditioned at given parameters, for one dataset and trend basis.
 
     What stays fixed during a fit is computed once: the squared-difference
     tensor of each output pair i <= j, the point means ȳ, the trend matrix F
@@ -376,6 +369,7 @@ class _LoglikEngine:
     """
 
     def __init__(self, data: Dataset, basis: RegressionBasis):
+        self.data, self.basis = data, basis
         self.k, self.l, self.reps = data.k, data.l, data.reps
         self.n_points, self.n_total = data.n_points, data.n_total
         self.ybar = np.concatenate(data.point_means())
@@ -385,7 +379,12 @@ class _LoglikEngine:
         self.ii, self.jj = np.triu_indices(self.k)  # pairs i <= j, row by row
         self.blocks = [(slice(o[i], o[i + 1]), slice(o[j], o[j + 1]))
                        for i, j in zip(self.ii, self.jj)]
-        self.d2 = [sq_diffs(data.x[i], data.x[j]) for i, j in zip(self.ii, self.jj)]
+        # one tensor per distinct pair of point sets: outputs observed at the
+        # same points (the isotopic case) share them
+        sets = [next(q for q, xq in enumerate(data.x) if np.array_equal(xq, xi)) for xi in data.x]
+        pairs = [(sets[i], sets[j]) for i, j in zip(self.ii, self.jj)]
+        tensors = {(a, b): sq_diffs(data.x[a], data.x[b]) for a, b in set(pairs)}
+        self.d2 = [tensors[pair] for pair in pairs]
         # outputs i and j of each pair, in pair order: each output's gradient
         # adds the pairs' terms in this order
         self.ends = np.column_stack([self.ii, self.jj]).ravel()
@@ -394,15 +393,10 @@ class _LoglikEngine:
         self.half = 0.5 * self.reps * np.where(self.cross, 2.0, 1.0)
 
     def _c(self, sigma, phi, t):
-        """C, the per-pair kernels without sigma_i sigma_j T_ij, and per pair:
-        (φ_i, φ_j) as a P x 2 x l array, H, sigma_i sigma_j and
-        sigma_i sigma_j T_ij."""
-        phi_ends = phi[self.ends].reshape(-1, 2, self.l)
-        pi, pj = phi_ends[:, 0], phi_ends[:, 1]
-        harm = harmonic_precisions(pi, pj)
-        norm = mean_normalizer(pi, pj)
-        s = sigma[self.ii] * sigma[self.jj]
-        st = s * t[self.ii, self.jj]
+        """C, the per-pair kernels without sigma_i sigma_j T_ij, and the pair
+        constants of :func:`_pair_constants`."""
+        consts = _pair_constants(sigma, phi, t, self.ii, self.jj)
+        _, harm, norm, _, st = consts
         c = np.empty((self.n_points, self.n_points))
         kernels = []
         for p, ((rows, cols), d2) in enumerate(zip(self.blocks, self.d2)):
@@ -411,7 +405,23 @@ class _LoglikEngine:
             if rows != cols:
                 c[cols, rows] = c[rows, cols].T
             kernels.append(e)
-        return c, kernels, (phi_ends, harm, s, st)
+        return c, kernels, consts
+
+    def _loglik(self, chol_l, beta, nugget, lam):
+        """Penalized stacked-data log-likelihood from the factor of
+        Cz = M*C + nugget*I, and a = Cz⁻¹ (ȳ - Fβ)."""
+        m = self.reps
+        if m > 1 and nugget <= 0.0:
+            raise ValueError("replicated data requires a positive nugget")
+        resid = self.ybar - self.f @ beta
+        a, info = dpotrs(chol_l, resid, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
+        ll = -0.5 * (self.n_total * np.log(2.0 * np.pi) + logdet + m * float(resid @ a))
+        if m > 1:
+            ll -= 0.5 * ((self.n_total - self.n_points) * np.log(nugget) + self.sse / nugget)
+        return ll - lam * float(np.sum(np.abs(beta))), a
 
     def factor(self, theta):
         """Lower Cholesky factor of Cz at θ and the jitter it needed."""
@@ -419,17 +429,35 @@ class _LoglikEngine:
         t = angles_to_corr(CrossCorrAngles(omega, self.k)).t
         return _factor_collapsed(self._c(sigma, phi, t)[0], self.reps, nugget)
 
+    def condition(self, params: MgpParams, factor=None) -> FittedModel:
+        """Model conditioned on the engine's data at ``params``: one factor of Cz
+        (``factor``, a (factor, jitter) pair, if the caller has it) gives the
+        factor, α = M Cz⁻¹ (ȳ - Fβ) and ``diagnostics["loglik"]``."""
+        if factor is None:
+            c = self._c(params.sigma.sigma, params.phi.phi, params.t.t)[0]
+            factor = _factor_collapsed(c, self.reps, params.nugget)
+        chol_l, jitter = factor
+        ll, a = self._loglik(chol_l, params.beta_concat(), params.nugget, params.lam)
+        return FittedModel(
+            params=params,
+            data=self.data,
+            basis=self.basis,
+            y_mean=np.zeros(self.k),
+            y_scale=np.ones(self.k),
+            chol=chol_l,
+            alpha=self.reps * a,
+            diagnostics={"loglik": float(ll), "jitter": jitter},
+        )
+
     def loglik_grad(self, theta, beta, lam=0.0):
         """(ℓ, ∂ℓ/∂θ) at θ for the concatenated trend ``beta``; ℓ equals
         :func:`penalized_loglik` of the same parameters."""
         k, l, m = self.k, self.l, self.reps
         sigma, phi, omega, nugget = _unpack(theta, k, l)
         t, dt_domega = corr_and_angle_grads(omega, k)
-        c, kernels, (phi_ends, harm, s, st) = self._c(sigma, phi, t)
+        c, kernels, (phi_ends, harm, _, s, st) = self._c(sigma, phi, t)
         chol_l, _ = _factor_collapsed(c, m, nugget)
-        ll, a = _collapsed_loglik(chol_l, self.ybar - self.f @ beta, m, self.n_total, nugget,
-                                  self.sse)
-        ll -= lam * float(np.sum(np.abs(beta)))
+        ll, a = self._loglik(chol_l, beta, nugget, lam)
 
         # dpotri fills the lower triangle; the factor's upper triangle is zero
         inv, info = dpotri(chol_l, lower=1, overwrite_c=1)
@@ -503,29 +531,8 @@ class FittedModel:
 
 
 def _condition(params: MgpParams, data: Dataset, basis: RegressionBasis) -> FittedModel:
-    """Model conditioned on ``data`` at given parameters, in the units of ``data``.
-
-    The one factorization of Cz = M*C + nugget*I (C from ``cov_matrix``, jitter
-    escalated on failure) gives the factor, α = M Cz⁻¹ (ȳ - Fβ) and the
-    penalized log-likelihood, kept as ``diagnostics["loglik"]``.
-    """
-    c = cov_matrix(data.x, params.sigma, params.phi, params.t, nugget=0.0)
-    chol_l, jitter = _factor_collapsed(c, data.reps, params.nugget)
-    beta = params.beta_concat()
-    resid = np.concatenate(data.point_means()) - _f_points(data, basis) @ beta
-    ll, a = _collapsed_loglik(chol_l, resid, data.reps, data.n_total, params.nugget,
-                              data.within_point_sse())
-    return FittedModel(
-        params=params,
-        data=data,
-        basis=basis,
-        y_mean=np.zeros(data.k),
-        y_scale=np.ones(data.k),
-        chol=chol_l,
-        alpha=data.reps * a,
-        diagnostics={"loglik": float(ll - params.lam * float(np.sum(np.abs(beta)))),
-                     "jitter": jitter},
-    )
+    """Model conditioned on ``data`` at ``params``; see :meth:`_LoglikEngine.condition`."""
+    return _LoglikEngine(data, basis).condition(params)
 
 
 def _fit_once(data, basis, lam, counts, start=None) -> FittedModel:
@@ -566,31 +573,29 @@ def _fit_once(data, basis, lam, counts, start=None) -> FittedModel:
             frozen[a_i] = (theta[a_i], theta[a_i])
         theta = search(theta, frozen).x
 
-    def beta_step(th):
-        # the collapsed system scales y and F by sqrt(M); lam is unchanged
-        chol_l, _ = engine.factor(th)
-        s = np.sqrt(m_reps)
-        return gls_beta_l1(chol_l, s * engine.f, s * engine.ybar, lam)
-
+    # the β step's collapsed system scales y and F by sqrt(M); lam is unchanged
+    f_s, y_s = np.sqrt(m_reps) * engine.f, np.sqrt(m_reps) * engine.ybar
     n_iters = 0
     for _ in range(_MAX_ROUNDS):
-        beta = beta_step(theta)
+        beta = gls_beta_l1(engine.factor(theta)[0], f_s, y_s, lam)
         # covariance step at current beta
         res = search(theta, bounds)
         theta = res.x
         n_iters += int(res.nit)
 
-    # the rounds end on a covariance step: solve beta at the returned covariance
+    # the rounds end on a covariance step: solve beta at the returned
+    # covariance, whose factor the returned model keeps
+    factor = engine.factor(theta)
     sigma, phi, omega, nugget = _unpack(theta, k, l)
     params = MgpParams(
-        beta=np.split(beta_step(theta), k),
+        beta=np.split(gls_beta_l1(factor[0], f_s, y_s, lam), k),
         sigma=MarginalSds(sigma),
         phi=RoughnessParams(phi),
         omega=CrossCorrAngles(omega, k),
         nugget=nugget,
         lam=lam,
     )
-    model = _condition(params, data, basis)
+    model = engine.condition(params, factor)
     model.diagnostics["iterations"] = n_iters
     return model
 
@@ -696,45 +701,36 @@ def _informed_start(sdata: Dataset, prefits: list):
     return sigma0, phi0, omega0, nugget0
 
 
-def _select_lambda(model0: FittedModel):
-    """Pick (lambda, support, beta) on the L1 path by BIC over relaxed refits.
+def _relaxed_trend(model0: FittedModel) -> FittedModel:
+    """lam="auto": the lam=0 fit's covariance, and its factor, with the trend
+    picked on the L1 path by BIC over relaxed refits.
 
-    The covariance is held at the unpenalized fit ``model0``; each grid value
-    of lambda yields a support via the whitened lasso, the support gets an
-    unpenalized GLS refit, and supports are compared by residual quadratic
-    form plus ``|support| * log(N)``.  Returns the winning lambda, support
-    index array and refit coefficients (zero off the support, concatenated
-    over outputs); ties prefer the sparser support.
+    Each grid value of lambda yields a support via the whitened lasso, the
+    support gets an unpenalized GLS refit, and supports are compared by
+    residual quadratic form plus ``|support| * log(N)``, ties preferring the
+    sparser one.  The winning refit is zero off its support.
     """
-    data, chol_l = model0.data, model0.chol  # standardized
-    f_pts = _f_points(data, model0.basis)
-    ybar = np.concatenate(data.point_means())
-    s = np.sqrt(data.reps)
-    w_f = solve_triangular(chol_l, f_pts, lower=True) * s
-    w_y = solve_triangular(chol_l, ybar, lower=True) * s
-    n_tot = data.n_total
+    engine = _LoglikEngine(model0.data, model0.basis)  # standardized
+    s = np.sqrt(engine.reps)
+    w_f = solve_triangular(model0.chol, engine.f, lower=True) * s
+    w_y = solve_triangular(model0.chol, engine.ybar, lower=True) * s
+    n_tot, width = engine.n_total, engine.f.shape[1]
     scored = []
     for g in sorted(_LAMBDA_GRID):
         lam = g * n_tot
         if lam > 0:
             sup = np.flatnonzero(gls_beta_l1(np.eye(len(w_y)), w_f, w_y, lam))
         else:
-            sup = np.arange(f_pts.shape[1])
-        relaxed = np.zeros(f_pts.shape[1])
+            sup = np.arange(width)
+        relaxed = np.zeros(width)
         if len(sup):
             coef, *_ = np.linalg.lstsq(w_f[:, sup], w_y, rcond=None)
             relaxed[sup] = coef
         bic = float(np.sum((w_y - w_f @ relaxed) ** 2)) + len(sup) * np.log(n_tot)
         scored.append(((bic, len(sup), -lam), lam, sup, relaxed))
     _, lam_sel, support, beta = min(scored, key=lambda entry: entry[0])
-    return lam_sel, support, beta
-
-
-def _relaxed_trend(model0: FittedModel) -> FittedModel:
-    """lam="auto": the lam=0 fit's covariance with the BIC-selected relaxed trend."""
-    lam_sel, support, beta = _select_lambda(model0)
     params = replace(model0.params, beta=np.split(beta, model0.k))
-    model = _condition(params, model0.data, model0.basis)
+    model = engine.condition(params, (model0.chol, model0.diagnostics["jitter"]))
     model.y_mean, model.y_scale = model0.y_mean, model0.y_scale
     model.diagnostics = {
         **model0.diagnostics,
@@ -777,12 +773,12 @@ def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     data, p = model.data, model.params
-    k, t = data.k, p.t.t  # p.t rebuilds T from the angles on every access
-    sigma, phi = p.sigma.sigma, p.phi.phi
+    k, sigma = data.k, p.sigma.sigma
     offs = np.concatenate([[0], np.cumsum([xj.shape[0] for xj in data.x])])
-    # H, normalizer and scale of each output pair (o, j), the same for every block
-    pair = {(o, j): (harmonic_precisions(phi[o], phi[j]), mean_normalizer(phi[o], phi[j]),
-                     sigma[o] * sigma[j] * t[o, j]) for o in range(k) for j in range(k)}
+    # H, normalizer and scale of each output pair (o, j), at index o*k + j;
+    # the same for every block
+    oo, jj = np.divmod(np.arange(k * k), k)
+    _, harm, norm, _, st = _pair_constants(sigma, p.phi.phi, p.t.t, oo, jj)
     beta = np.column_stack(p.beta)
     means = np.empty((x.shape[0], k))
     sds = np.empty((x.shape[0], k))
@@ -793,8 +789,9 @@ def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
         for j in range(k):
             d2 = sq_diffs(xb, data.x[j])
             for o in range(k):
+                oj = o * k + j
                 r[o * b : (o + 1) * b, offs[j] : offs[j + 1]] = cov_block_from_sq_diffs(
-                    d2, *pair[o, j])
+                    d2, harm[oj], norm[oj], st[oj])
         mean_std = model.basis.evaluate(xb) @ beta + (r @ model.alpha).reshape(k, -1).T
         v = solve_triangular(model.chol, r.T, lower=True)
         var_std = sigma ** 2 + p.nugget - data.reps * (v * v).sum(axis=0).reshape(k, -1).T

@@ -170,6 +170,23 @@ class TestFit:
     def test_missing_data_is_data_error(self, workdir):
         assert run(["fit", "--data", str(workdir / "nope.csv")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--restarts", "0", "restarts"),
+        ("--lambda", "-1", "lambda"),
+        ("--lambda", "inf", "lambda"),
+        ("--lambda", "nan", "lambda"),
+    ])
+    def test_bad_fit_setting_is_data_error_before_any_search(self, workdir, capsys, monkeypatch,
+                                                             flag, value, setting):
+        data = make_dataset(workdir)
+        searches = []
+        monkeypatch.setattr("mgpkit.mgp.minimize", lambda *args, **kwargs: searches.append(1))
+        assert run(["fit", "--data", str(data), flag, value,
+                    "--out", str(workdir / "m.json")]) == EXIT_DATA
+        assert setting in capsys.readouterr().err
+        assert searches == []
+        assert not (workdir / "m.json").exists()
+
     def test_rank_deficient_fit_is_numeric_error(self, workdir):
         # 2 points cannot support a quadratic trend basis
         data = make_dataset(workdir, n=2, reps=1)

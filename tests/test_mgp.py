@@ -252,21 +252,23 @@ class TestFitAndPredict:
         expected = gls_beta_l1(chol, s * f, s * np.concatenate(sdata.point_means()), 0.0)
         np.testing.assert_allclose(p.beta_concat(), expected, rtol=0, atol=1e-10)
         assert model.diagnostics["loglik"] == penalized_loglik(p, sdata, model.basis)
+        # the returned factor is the one cov_matrix's covariance gives, exactly
+        assert np.array_equal(model.chol, _factor_collapsed(c, sdata.reps, p.nugget)[0])
 
     def test_likelihood_value_error_is_not_swallowed(self, monkeypatch):
         # only a failed factorization is a 1e12 penalty for the search; a
         # ValueError signals a bug and must reach the caller, from the
-        # search's own likelihood (the engine) and from the returned model's
-        # (computed by _condition), also from the univariate prefits of a
-        # K = 2 fit's informed start
+        # search's own likelihood and from the returned model's (both computed
+        # by the engine), also from the univariate prefits of a K = 2 fit's
+        # informed start
         x = lhs(10, 1, seed=4).points
         k1 = Dataset(UNIT_SPECS_1D, [x], [np.sin(6 * x[:, 0])], 1, ["y"])
         k2 = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
                      ["a", "b"])
-        for owner, name in ((mgpkit.mgp, "_condition"), (_LoglikEngine, "loglik_grad")):
+        for name in ("condition", "loglik_grad"):
             for data in (k1, k2):
                 calls = []
-                original = getattr(owner, name)
+                original = getattr(_LoglikEngine, name)
 
                 def raise_once(*args, original=original, calls=calls):
                     calls.append(1)
@@ -274,10 +276,11 @@ class TestFitAndPredict:
                         raise ValueError("bug")
                     return original(*args)
 
-                monkeypatch.setattr(owner, name, raise_once)
+                monkeypatch.setattr(_LoglikEngine, name, raise_once)
                 with pytest.raises(ValueError, match="bug"):
                     fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=1))
                 monkeypatch.undo()
+                assert calls == [1]
 
     @pytest.mark.filterwarnings("error")
     def test_constant_output_fits_without_correlation_guess(self):
@@ -465,7 +468,24 @@ class TestLoglikEngine:
             beta = rng.normal(size=data.k * basis.width(data.l))
             ll, _ = engine.loglik_grad(theta, beta, 0.4)
             want = penalized_loglik(params_at(theta, beta, data, 0.4), data, basis)
-            assert ll == pytest.approx(want, rel=1e-10, abs=1e-10)
+            assert ll == want
+
+    def test_covariance_equals_cov_matrix(self):
+        # one covariance assembly: the engine's C is cov_matrix's bit for bit,
+        # also with φ at the search's bounds
+        rng = np.random.default_rng(27)
+        lo, hi = mgpkit.mgp._LOG_PHI_BOUNDS
+        for data, basis in engine_cases():
+            engine = _LoglikEngine(data, basis)
+            k, l = data.k, data.l
+            for log_phi in (None, np.full(k * l, lo), np.full(k * l, hi),
+                            rng.choice([lo, hi], size=k * l)):
+                theta = random_theta(data, rng)
+                if log_phi is not None:
+                    theta[k : k + k * l] = log_phi
+                p = params_at(theta, np.zeros(k), data, 0.0)
+                c = engine._c(p.sigma.sigma, p.phi.phi, p.t.t)[0]
+                assert np.array_equal(c, cov_matrix(data.x, p.sigma, p.phi, p.t))
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(23)
@@ -574,7 +594,7 @@ class TestLoglikEngine:
         # of the first prefit (so the informed start is dropped) and the
         # first restart of the joint fit; their searches still count
         searches, conditioned = [], []
-        minimize_ = mgpkit.mgp.minimize
+        minimize_, condition_ = mgpkit.mgp.minimize, _LoglikEngine.condition
 
         def counted_minimize(*args, **kwargs):
             searches.append(1)
@@ -584,22 +604,27 @@ class TestLoglikEngine:
             conditioned.append(1)
             if len(conditioned) <= 3:
                 raise FitError("rejected")
-            return _condition(*args)
+            return condition_(*args)
 
         monkeypatch.setattr("mgpkit.mgp.minimize", counted_minimize)
-        monkeypatch.setattr("mgpkit.mgp._condition", failing_condition)
+        monkeypatch.setattr(_LoglikEngine, "condition", failing_condition)
         x = lhs(10, 1, seed=4).points
         data = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
                        ["a", "b"])
         model = fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=2))
         assert model.diagnostics["searches"] == len(searches)
+        # the two restarts of the first prefit, then the two joint restarts
+        assert len(conditioned) == 4
 
     def test_one_factorization_per_conditioned_model(self, monkeypatch):
-        # fit is entered once per call; each _fit_once run builds its returned
-        # covariance once (factor, α and ℓ from one factorization), and
-        # λ="auto" adds one conditioning of the relaxed trend at the λ=0
-        # covariance, whose factor it reuses
-        counts = {"cov_matrix": 0, "fit": 0, "_fit_once": 0}
+        # fit is entered once per call; outside its searches, each _fit_once
+        # run factors Cz once per β step (one per round and one after the
+        # last), and its returned model reuses the last of those factors;
+        # λ="auto" conditions the relaxed trend on the λ=0 model's factor,
+        # so it adds no factorization; no covariance comes from cov_matrix
+        counts = {"cov_matrix": 0, "fit": 0, "_fit_once": 0, "factorizations": 0}
+        searching = []
+        minimize_, factor_ = mgpkit.mgp.minimize, mgpkit.mgp._factor_collapsed
 
         def counted(name):
             original = getattr(mgpkit.mgp, name)
@@ -610,19 +635,34 @@ class TestLoglikEngine:
 
             monkeypatch.setattr(mgpkit.mgp, name, wrapper)
 
-        for name in counts:
+        def search(*args, **kwargs):
+            searching.append(1)
+            try:
+                return minimize_(*args, **kwargs)
+            finally:
+                searching.pop()
+
+        def factor(*args):
+            counts["factorizations"] += not searching
+            return factor_(*args)
+
+        for name in ("cov_matrix", "fit", "_fit_once"):
             counted(name)
+        monkeypatch.setattr(mgpkit.mgp, "minimize", search)
+        monkeypatch.setattr(mgpkit.mgp, "_factor_collapsed", factor)
         x = lhs(10, 1, seed=4).points
         k2 = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
                      ["a", "b"])
         mgpkit.mgp.fit(k2, RegressionBasis("const"), FitConfig(lam=0.0, restarts=2))
         # two restarts of each univariate prefit, then the two joint restarts
-        assert counts == {"cov_matrix": 6, "fit": 1, "_fit_once": 6}
+        per_run = mgpkit.mgp._MAX_ROUNDS + 1
+        assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 6,
+                          "factorizations": 6 * per_run}
 
         counts.update(dict.fromkeys(counts, 0))
         mgpkit.mgp.fit(criterion6_like_data(), RegressionBasis("linear"),
                        FitConfig(lam="auto", restarts=1))
-        assert counts == {"cov_matrix": 2, "fit": 1, "_fit_once": 1}
+        assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 1, "factorizations": per_run}
 
 
 def per_pair_predict_batch(model, x):
@@ -810,6 +850,8 @@ class TestAutoLambda:
         loaded = model_from_json(model_to_json(model))
         for m in (model, loaded):
             assert m.diagnostics["loglik"] == penalized_loglik(m.params, m.data, m.basis)
+            c = cov_matrix(m.data.x, m.params.sigma, m.params.phi, m.params.t)
+            assert np.array_equal(m.chol, _factor_collapsed(c, m.data.reps, m.params.nugget)[0])
             # the returned trend is the unpenalized refit on the selected support
             assert m.params.lam == 0.0
             assert m.diagnostics["lambda"] > 0.0
