@@ -151,7 +151,10 @@ def cmd_simulate(args) -> int:
 
 
 def _fit_config(args) -> FitConfig:
-    lam = args.lam if args.lam == "auto" else float(args.lam)
+    try:
+        lam = float(args.lam)
+    except ValueError:
+        lam = args.lam  # "auto"; any other text FitConfig rejects, naming the setting
     return FitConfig(lam=lam, restarts=args.restarts, seed=args.seed)
 
 

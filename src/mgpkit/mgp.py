@@ -145,6 +145,11 @@ class Dataset:
             sse += float(((g - g.mean(axis=1, keepdims=True)) ** 2).sum())
         return sse
 
+    @property
+    def design_of(self) -> list:
+        """Per output, the index of the first output on exactly the same points."""
+        return [next(q for q, xq in enumerate(self.x) if np.array_equal(xq, xi)) for xi in self.x]
+
     def sub_dataset(self, i: int) -> "Dataset":
         return Dataset(self.specs, [self.x[i]], [self.y[i]], self.reps, [self.output_names[i]])
 
@@ -183,11 +188,6 @@ class MgpParams:
 # Likelihood pieces
 
 
-def _f_points(data: Dataset, basis: RegressionBasis) -> np.ndarray:
-    """Block-diagonal trend matrix over design points only (one row per point)."""
-    return block_diag(*[basis.evaluate(xi) for xi in data.x])
-
-
 def _factor_collapsed(c: np.ndarray, reps: int, nugget: float):
     """Lower Cholesky factor of Cz = reps*c + nugget*I and the jitter it needed.
 
@@ -220,11 +220,11 @@ def penalized_loglik(params: MgpParams, data: Dataset, basis: RegressionBasis) -
 
     -1/2 (log|R| + e' R^-1 e) - lambda*|beta|_1 - (N/2) log(2*pi), evaluated
     through the exact replicate collapse: the ``diagnostics["loglik"]`` of
-    :func:`_condition`.  Its references are dense inversions of the stacked
-    covariance: ``dense_oracle_loglik`` in the tests and ``DenseModel.loglik`` in
-    ``bench/checks.py``.
+    :meth:`_LoglikEngine.condition`.  Its references are dense inversions of
+    the stacked covariance: ``dense_oracle_loglik`` in the tests and
+    ``DenseModel.loglik`` in ``bench/checks.py``.
     """
-    return _condition(params, data, basis).diagnostics["loglik"]
+    return _LoglikEngine(data, basis).condition(params).diagnostics["loglik"]
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +357,11 @@ class _LoglikEngine:
     """Log-likelihood and its exact gradient in the packed parameters θ, and
     the model conditioned at given parameters, for one dataset and trend basis.
 
-    What stays fixed during a fit is computed once: the squared-difference
-    tensor of each output pair i <= j, the point means ȳ, the trend matrix F
-    and the replicate SSE.  Each call builds Cz = M*C + nugget*I from them,
-    factors it once and returns ℓ and
+    What stays fixed during a fit is computed once, and all restarts of a
+    fit share the engine: the squared-difference tensor of each output pair
+    i <= j, the point means ȳ, the block-diagonal trend matrix F (one row per
+    point) and the replicate SSE.  Each call builds Cz = M*C + nugget*I from
+    them, factors it once and returns ℓ and
     ∂ℓ/∂θ = ½ tr[(M a a' − Cz⁻¹) ∂Cz/∂θ] with a = Cz⁻¹(ȳ − Fβ) (Rasmussen &
     Williams 2006, §5.4.1), plus the nugget's replicate-SSE term, through the
     hypersphere map of the angles and the log/logit packing.  Only the n×n
@@ -373,16 +374,16 @@ class _LoglikEngine:
         self.k, self.l, self.reps = data.k, data.l, data.reps
         self.n_points, self.n_total = data.n_points, data.n_total
         self.ybar = np.concatenate(data.point_means())
-        self.f = _f_points(data, basis)
+        self.f = block_diag(*[basis.evaluate(xi) for xi in data.x])
         self.sse = data.within_point_sse()
         o = np.concatenate([[0], np.cumsum([len(xi) for xi in data.x])])
         self.ii, self.jj = np.triu_indices(self.k)  # pairs i <= j, row by row
         self.blocks = [(slice(o[i], o[i + 1]), slice(o[j], o[j + 1]))
                        for i, j in zip(self.ii, self.jj)]
-        # one tensor per distinct pair of point sets: outputs observed at the
+        # one tensor per distinct pair of designs: outputs observed at the
         # same points (the isotopic case) share them
-        sets = [next(q for q, xq in enumerate(data.x) if np.array_equal(xq, xi)) for xi in data.x]
-        pairs = [(sets[i], sets[j]) for i, j in zip(self.ii, self.jj)]
+        design = data.design_of
+        pairs = [(design[i], design[j]) for i, j in zip(self.ii, self.jj)]
         tensors = {(a, b): sq_diffs(data.x[a], data.x[b]) for a, b in set(pairs)}
         self.d2 = [tensors[pair] for pair in pairs]
         # outputs i and j of each pair, in pair order: each output's gradient
@@ -501,10 +502,10 @@ class _LoglikEngine:
 
 @dataclass
 class FittedModel:
-    """Immutable result of fit(): parameters plus cached training algebra.
-
-    Parameters are in standardized output units; predictions are mapped back
-    to original units through (y_mean, y_scale).
+    """A model conditioned on its training data by :meth:`_LoglikEngine.condition`:
+    parameters plus cached training algebra.  Fitting and loading then set its
+    standardization and diagnostics.  Parameters are in standardized output
+    units; predictions are mapped back to original units through (y_mean, y_scale).
     """
 
     params: MgpParams
@@ -530,21 +531,15 @@ class FittedModel:
         return out
 
 
-def _condition(params: MgpParams, data: Dataset, basis: RegressionBasis) -> FittedModel:
-    """Model conditioned on ``data`` at ``params``; see :meth:`_LoglikEngine.condition`."""
-    return _LoglikEngine(data, basis).condition(params)
-
-
-def _fit_once(data, basis, lam, counts, start=None) -> FittedModel:
-    """One restart of block-coordinate ascent on standardized data; its
-    searches are added to ``counts`` as they run (see _SEARCH_COUNTS)."""
-    k, l, m_reps = data.k, data.l, data.reps
+def _fit_once(engine: _LoglikEngine, lam, counts, start=None) -> FittedModel:
+    """One restart of block-coordinate ascent on the engine's standardized
+    data; its searches are added to ``counts`` as they run (see _SEARCH_COUNTS)."""
+    k, l, m_reps, n_total = engine.k, engine.l, engine.reps, engine.n_total
     if start is None:
         start = (np.ones(k), np.ones((k, l)), np.full(n_angles(k), np.pi / 2.0), 1e-2)
     theta = _pack(*start)
     bounds = _theta_bounds(k, l)
-    engine = _LoglikEngine(data, basis)
-    beta = np.zeros(k * basis.width(l))
+    beta = np.zeros(k * engine.basis.width(l))
 
     # L-BFGS-B starts from an identity Hessian, so its first step is the raw
     # gradient; the log-likelihood grows with N_total, and unscaled that step
@@ -555,8 +550,8 @@ def _fit_once(data, basis, lam, counts, start=None) -> FittedModel:
             ll, grad = engine.loglik_grad(th, beta, lam)
         except NonPositiveDefiniteError:
             counts["npd_penalties"] += 1
-            return 1e12 / data.n_total, np.zeros_like(th)
-        return -ll / data.n_total, -grad / data.n_total
+            return 1e12 / n_total, np.zeros_like(th)
+        return -ll / n_total, -grad / n_total
 
     def search(th, box):
         res = minimize(neg_ll_per_obs, th, jac=True, method="L-BFGS-B", bounds=box,
@@ -608,9 +603,10 @@ def _standardize(data: Dataset):
 
 
 def _fit_restarts(data, basis, lam, restarts, seed, counts) -> FittedModel:
-    """Best of ``restarts`` runs of _fit_once on ``data`` standardized, with
-    y_mean/y_scale set; for K > 1 the first run starts from univariate prefits."""
+    """Best of ``restarts`` runs of _fit_once, sharing one engine, on ``data``
+    standardized, with y_mean/y_scale set; for K > 1 the first starts from prefits."""
     sdata, means, scales = _standardize(data)
+    engine = _LoglikEngine(sdata, basis)
     rng = np.random.default_rng(seed)
     best = None
     errors = []
@@ -640,7 +636,7 @@ def _fit_restarts(data, basis, lam, restarts, seed, counts) -> FittedModel:
             phi0 = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(k, l)))
             start = (np.ones(k), phi0, np.full(n_angles(k), np.pi / 2.0), 1e-2)
         try:
-            model = _fit_once(sdata, basis, lam, counts, start=start)
+            model = _fit_once(engine, lam, counts, start=start)
         except FitError as exc:
             errors.append(str(exc))
             continue
@@ -685,8 +681,7 @@ def _informed_start(sdata: Dataset, prefits: list):
     phi0 = np.array([m.params.phi.phi[0] for m in prefits])
     nugget0 = float(np.mean([m.params.nugget * m.y_scale[0] ** 2 for m in prefits]))
     omega0 = np.full(n_angles(k), np.pi / 2.0)
-    shapes = {xi.shape for xi in sdata.x}
-    if len(shapes) == 1 and all(np.allclose(xi, sdata.x[0]) for xi in sdata.x[1:]):
+    if not any(sdata.design_of):
         with np.errstate(divide="ignore", invalid="ignore"):
             t_emp = np.corrcoef(sdata.point_means())
         # an output constant over the design has no correlation: keep right angles
@@ -768,12 +763,13 @@ def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
 
     Rows go in blocks of b: row o*b + i of the cross-covariance r pairs output
     o at query row i with every training point, so one triangular solve with
-    K*b right-hand sides gives every variance of the block.  Column group j
-    (training set j) shares one squared-difference tensor across its K blocks.
+    K*b right-hand sides gives every variance of the block.  Each distinct
+    training design (:attr:`Dataset.design_of`) gets one squared-difference
+    tensor per block, which fills the K blocks of every output on it.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     data, p = model.data, model.params
-    k, sigma = data.k, p.sigma.sigma
+    k, sigma, design = data.k, p.sigma.sigma, data.design_of
     offs = np.concatenate([[0], np.cumsum([xj.shape[0] for xj in data.x])])
     # H, normalizer and scale of each output pair (o, j), at index o*k + j;
     # the same for every block
@@ -786,12 +782,12 @@ def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
         xb = x[lo : lo + PREDICT_BLOCK_ROWS]
         b = len(xb)
         r = np.empty((k * b, offs[-1]))
+        d2 = {q: sq_diffs(xb, data.x[q]) for q in set(design)}
         for j in range(k):
-            d2 = sq_diffs(xb, data.x[j])
             for o in range(k):
                 oj = o * k + j
                 r[o * b : (o + 1) * b, offs[j] : offs[j + 1]] = cov_block_from_sq_diffs(
-                    d2, harm[oj], norm[oj], st[oj])
+                    d2[design[j]], harm[oj], norm[oj], st[oj])
         mean_std = model.basis.evaluate(xb) @ beta + (r @ model.alpha).reshape(k, -1).T
         v = solve_triangular(model.chol, r.T, lower=True)
         var_std = sigma ** 2 + p.nugget - data.reps * (v * v).sum(axis=0).reshape(k, -1).T
@@ -872,7 +868,7 @@ def model_from_json(text: str) -> FittedModel:
         nugget=float(pp["nugget"]),
         lam=float(pp["lambda"]),
     )
-    model = _condition(params, data, RegressionBasis(doc["basis"]))
+    model = _LoglikEngine(data, RegressionBasis(doc["basis"])).condition(params)
     model.y_mean = np.array(doc["standardization"]["y_mean"])
     model.y_scale = np.array(doc["standardization"]["y_scale"])
     model.diagnostics = doc.get("diagnostics", {})

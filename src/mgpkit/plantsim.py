@@ -123,11 +123,10 @@ def generate_dataset(design: DesignMatrix, config: PlantConfig = None, reps: int
 def write_dataset_csv(path, data: Dataset) -> None:
     """Dataset CSV: physical input columns, replication index, K output columns.
 
-    Requires all outputs to share the design (always true for plant datasets).
+    Requires all outputs on exactly one design (true of every plant dataset).
     """
-    for xi in data.x[1:]:
-        if xi.shape != data.x[0].shape or not np.allclose(xi, data.x[0]):
-            raise ValueError("dataset CSV requires a shared design across outputs")
+    if any(data.design_of):
+        raise ValueError("dataset CSV requires a shared design across outputs")
     phys = scale_design(DesignMatrix(data.x[0]), data.specs)
     header = [s.name for s in data.specs] + ["rep"] + list(data.output_names)
     grids = [yi.reshape(-1, data.reps) for yi in data.y]

@@ -149,9 +149,9 @@ def test_criterion_4_covariance_validity():
 
 
 def _manual_model(params, data, basis):
-    from mgpkit.mgp import _condition
+    from mgpkit.mgp import _LoglikEngine
 
-    return _condition(params, data, basis)
+    return _LoglikEngine(data, basis).condition(params)
 
 
 def test_criterion_5_kriging_correctness():

@@ -175,6 +175,7 @@ class TestFit:
         ("--lambda", "-1", "lambda"),
         ("--lambda", "inf", "lambda"),
         ("--lambda", "nan", "lambda"),
+        ("--lambda", "abc", "lambda"),
     ])
     def test_bad_fit_setting_is_data_error_before_any_search(self, workdir, capsys, monkeypatch,
                                                              flag, value, setting):

@@ -25,8 +25,6 @@ from mgpkit.mgp import (
     NonPositiveDefiniteError,
     RegressionBasis,
     _LoglikEngine,
-    _condition,
-    _f_points,
     _factor_collapsed,
     _fit_once,
     _pack,
@@ -86,7 +84,7 @@ class TestBuildFMatrix:
             1,
             ["a", "b"],
         )
-        f = _f_points(data, RegressionBasis("const"))
+        f = _LoglikEngine(data, RegressionBasis("const")).f
         assert f.shape == (5, 2)
         np.testing.assert_array_equal(f[:3, 0], 1.0)
         np.testing.assert_array_equal(f[3:, 1], 1.0)
@@ -99,12 +97,30 @@ class TestBuildFMatrix:
         data = Dataset(
             UNIT_SPECS_2D, [np.array([[0.3, 0.6]])], [np.zeros(1)], 1, ["a"]
         )
-        f = _f_points(data, RegressionBasis("quad"))
+        f = _LoglikEngine(data, RegressionBasis("quad")).f
         np.testing.assert_allclose(f[0], [1.0, 0.3, 0.6, 0.09, 0.36])
 
     def test_unknown_basis(self):
         with pytest.raises(ValueError):
             RegressionBasis("cubic")
+
+
+class TestDesignOf:
+    def test_first_output_on_exactly_the_same_points(self):
+        rng = np.random.default_rng(28)
+        x = rng.uniform(size=(6, 2))
+
+        def design_of(xs):
+            ys = [np.zeros(len(xi)) for xi in xs]
+            return Dataset(UNIT_SPECS_2D, xs, ys, 1, [f"y{i}" for i in range(len(xs))]).design_of
+
+        assert design_of([x]) == [0]
+        assert design_of([x, x, x]) == [0, 0, 0]  # one array object
+        assert design_of([x, x.copy(), x.copy()]) == [0, 0, 0]
+        # within np.allclose, but not the same points
+        assert np.allclose(x + 1e-12, x)
+        assert design_of([x, x + 1e-12, x.copy()]) == [0, 1, 0]
+        assert design_of([x, x[:4], x[:4].copy(), x[1:]]) == [0, 1, 1, 3]
 
 
 class TestPenalizedLoglik:
@@ -553,7 +569,7 @@ class TestLoglikEngine:
                 engine.loglik_grad(random_theta(data, rng), np.zeros(data.k))
         counts = dict.fromkeys(_SEARCH_COUNTS, 0)
         with pytest.raises(NonPositiveDefiniteError):
-            _fit_once(k2, RegressionBasis("const"), 0.0, counts)
+            _fit_once(_LoglikEngine(k2, RegressionBasis("const")), 0.0, counts)
         assert counts["searches"] == 1  # the frozen-angle warm-up
         assert counts["npd_penalties"] >= 1
 
@@ -621,8 +637,11 @@ class TestLoglikEngine:
         # run factors Cz once per β step (one per round and one after the
         # last), and its returned model reuses the last of those factors;
         # λ="auto" conditions the relaxed trend on the λ=0 model's factor,
-        # so it adds no factorization; no covariance comes from cov_matrix
-        counts = {"cov_matrix": 0, "fit": 0, "_fit_once": 0, "factorizations": 0}
+        # so it adds no factorization; no covariance comes from cov_matrix;
+        # the restarts on one dataset share its engine, and λ="auto" builds
+        # one more for the relaxed trend
+        counts = {"cov_matrix": 0, "fit": 0, "_fit_once": 0, "_LoglikEngine": 0,
+                  "factorizations": 0}
         searching = []
         minimize_, factor_ = mgpkit.mgp.minimize, mgpkit.mgp._factor_collapsed
 
@@ -646,7 +665,7 @@ class TestLoglikEngine:
             counts["factorizations"] += not searching
             return factor_(*args)
 
-        for name in ("cov_matrix", "fit", "_fit_once"):
+        for name in ("cov_matrix", "fit", "_fit_once", "_LoglikEngine"):
             counted(name)
         monkeypatch.setattr(mgpkit.mgp, "minimize", search)
         monkeypatch.setattr(mgpkit.mgp, "_factor_collapsed", factor)
@@ -654,15 +673,17 @@ class TestLoglikEngine:
         k2 = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
                      ["a", "b"])
         mgpkit.mgp.fit(k2, RegressionBasis("const"), FitConfig(lam=0.0, restarts=2))
-        # two restarts of each univariate prefit, then the two joint restarts
+        # two restarts of each univariate prefit, then the two joint restarts;
+        # one engine per prefit and one for the joint fit
         per_run = mgpkit.mgp._MAX_ROUNDS + 1
-        assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 6,
+        assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 6, "_LoglikEngine": 3,
                           "factorizations": 6 * per_run}
 
         counts.update(dict.fromkeys(counts, 0))
         mgpkit.mgp.fit(criterion6_like_data(), RegressionBasis("linear"),
                        FitConfig(lam="auto", restarts=1))
-        assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 1, "factorizations": per_run}
+        assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 1, "_LoglikEngine": 2,
+                          "factorizations": per_run}
 
 
 def per_pair_predict_batch(model, x):
@@ -699,7 +720,7 @@ class TestBatchedPrediction:
         params = make_params(k, l, 3, rng, nugget=0.2)
         params.omega = CrossCorrAngles(np.array([0.6, 2.4, 0.9]), k)
         assert np.min(np.abs(params.t.t[np.tril_indices(k, -1)])) > 0.3
-        model = _condition(params, data, basis)
+        model = _LoglikEngine(data, basis).condition(params)
         model.y_mean = np.array([10.0, -3.0, 0.5])
         model.y_scale = np.array([2.0, 0.3, 5.0])
         outside = np.array([[-0.1, 0.5], [1.15, 0.3], [0.4, 1.3]])
@@ -742,11 +763,42 @@ class TestBatchedPrediction:
         ys = [rng.normal(size=n * reps) for n in sizes]
         data = Dataset(UNIT_SPECS_2D, xs, ys, reps, [f"y{i}" for i in range(k)])
         basis = RegressionBasis("linear")
-        model = _condition(make_params(k, l, 3, rng, nugget=0.2), data, basis)
+        model = _LoglikEngine(data, basis).condition(make_params(k, l, 3, rng, nugget=0.2))
         model.y_mean = rng.normal(size=k)
         model.y_scale = rng.uniform(0.5, 3.0, size=k)
         xq = rng.uniform(-0.1, 1.1, size=(11, l))
         mean, sd = predict_batch(model, xq)
+        ref_mean, ref_sd = per_pair_predict_batch(model, xq)
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(sd, ref_sd)
+
+
+    @pytest.mark.parametrize("designs, calls", [((0, 0, 0), 3), ((0, 1, 0), 6)],
+                             ids=["isotopic-k3", "two-designs-k3"])
+    def test_one_sq_diffs_per_block_per_distinct_design(self, monkeypatch, designs, calls):
+        # 11 query rows in blocks of 4 make three blocks; outputs on equal
+        # copies of one point set share its squared differences
+        monkeypatch.setattr("mgpkit.mgp.PREDICT_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(30)
+        k, l, reps = 3, 2, 2
+        points = [rng.uniform(size=(n, l)) for n in (7, 5)]
+        xs = [points[q].copy() for q in designs]
+        ys = [rng.normal(size=len(xi) * reps) for xi in xs]
+        data = Dataset(UNIT_SPECS_2D, xs, ys, reps, ["a", "b", "c"])
+        basis = RegressionBasis("linear")
+        model = _LoglikEngine(data, basis).condition(make_params(k, l, 3, rng, nugget=0.2))
+        model.y_mean = rng.normal(size=k)
+        model.y_scale = rng.uniform(0.5, 3.0, size=k)
+        xq = rng.uniform(-0.1, 1.1, size=(11, l))
+        sq_diffs_, d2_calls = mgpkit.mgp.sq_diffs, []
+
+        def counted_sq_diffs(*args):
+            d2_calls.append(1)
+            return sq_diffs_(*args)
+
+        monkeypatch.setattr("mgpkit.mgp.sq_diffs", counted_sq_diffs)
+        mean, sd = predict_batch(model, xq)
+        assert len(d2_calls) == calls
         ref_mean, ref_sd = per_pair_predict_batch(model, xq)
         assert np.array_equal(mean, ref_mean)
         assert np.array_equal(sd, ref_sd)
@@ -863,4 +915,4 @@ class TestAutoLambda:
 
 def _manual_model(params, data, basis):
     """FittedModel from given parameters without running the optimizer."""
-    return _condition(params, data, basis)
+    return _LoglikEngine(data, basis).condition(params)

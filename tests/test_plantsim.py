@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mgpkit.design import maximin_lhs, scale_design, unscale_points
+from mgpkit.mgp import Dataset
 from mgpkit.plantsim import (
     DEFAULT_SPECS,
     OUTPUT_NAMES,
@@ -184,6 +185,17 @@ class TestDatasetCsv:
             assert np.array_equal(xb, written)
         for ya, yb in zip(data.y, back.y):
             assert np.array_equal(ya, yb)
+
+    def test_outputs_off_one_design_rejected(self, tmp_path):
+        # the file has one block of inputs, so writing output 1, which lies
+        # 1e-9 off output 0's points, would move its points
+        data = generate_dataset(maximin_lhs(4, 6, seed=4, restarts=3), NOISELESS, reps=2)
+        x = data.x[0]
+        moved = Dataset(data.specs, [x, x + 1e-9, x], data.y, data.reps, data.output_names)
+        path = tmp_path / "plant.csv"
+        with pytest.raises(ValueError, match="shared design"):
+            write_dataset_csv(path, moved)
+        assert not path.exists()
 
     def test_bad_row_reports_location(self, tmp_path):
         d = maximin_lhs(4, 6, seed=4, restarts=3)
