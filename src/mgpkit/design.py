@@ -38,7 +38,7 @@ class DesignMatrix:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("design points must be a 2-d array")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):  # NaN fails too
             raise ValueError("design points must lie in the unit hypercube")
         object.__setattr__(self, "points", pts)
 
@@ -196,7 +196,8 @@ def format_csv_rows(table: np.ndarray) -> str:
 def read_design_csv(path, specs: list[InputSpec]) -> DesignMatrix:
     """Read a design CSV (unit or physical, detected from the header prefix).
 
-    Points outside the input ranges are rejected, not clipped.
+    Points outside the input ranges are rejected, not clipped; a row of the
+    wrong length or with a non-finite value is named in the error.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -210,13 +211,14 @@ def read_design_csv(path, specs: list[InputSpec]) -> DesignMatrix:
             data.append([float(v) for v in row])
         except ValueError as exc:
             raise ValueError(f"{path}: bad value at row {i}: {exc}") from exc
+        if len(row) != len(specs):
+            raise ValueError(f"{path}: row {i} has {len(row)} values, expected {len(specs)}")
     if not data:
         raise ValueError(f"{path}: design file has no points")
     arr = np.array(data)
-    if arr.shape[1] != len(specs):
-        raise ValueError(
-            f"{path}: design has {arr.shape[1]} columns but {len(specs)} input specs given"
-        )
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: non-finite value at row {bad[0] + 2}")
     if not is_unit:
         arr = unscale_points(arr, specs)
     return DesignMatrix(arr)

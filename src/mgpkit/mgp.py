@@ -15,7 +15,8 @@ from numbers import Real
 
 import numpy as np
 from scipy.linalg import block_diag, cholesky, solve_triangular, LinAlgError
-from scipy.linalg.lapack import dpotri, dpotrs
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotri, dpotrs, dtrtri
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
@@ -431,14 +432,18 @@ class _LoglikEngine:
         return _factor_collapsed(self._c(sigma, phi, t)[0], self.reps, nugget)
 
     def condition(self, params: MgpParams, factor=None) -> FittedModel:
-        """Model conditioned on the engine's data at ``params``: one factor of Cz
-        (``factor``, a (factor, jitter) pair, if the caller has it) gives the
-        factor, α = M Cz⁻¹ (ȳ - Fβ) and ``diagnostics["loglik"]``."""
+        """Model conditioned on the engine's data at ``params``: one factor L of
+        Cz (``factor``, a (factor, jitter) pair, if the caller has it) gives L,
+        its inverse L⁻¹, α = M Cz⁻¹ (ȳ - Fβ) and ``diagnostics["loglik"]``."""
         if factor is None:
             c = self._c(params.sigma.sigma, params.phi.phi, params.t.t)[0]
             factor = _factor_collapsed(c, self.reps, params.nugget)
         chol_l, jitter = factor
         ll, a = self._loglik(chol_l, params.beta_concat(), params.nugget, params.lam)
+        # dtrtri reads and writes the lower triangle; the upper one stays zero
+        chol_inv, info = dtrtri(chol_l, lower=1)
+        if info != 0:
+            raise NonPositiveDefiniteError(f"inverse of the Cholesky factor failed (info {info})")
         return FittedModel(
             params=params,
             data=self.data,
@@ -446,6 +451,7 @@ class _LoglikEngine:
             y_mean=np.zeros(self.k),
             y_scale=np.ones(self.k),
             chol=chol_l,
+            chol_inv=chol_inv,
             alpha=self.reps * a,
             diagnostics={"loglik": float(ll), "jitter": jitter},
         )
@@ -503,9 +509,11 @@ class _LoglikEngine:
 @dataclass
 class FittedModel:
     """A model conditioned on its training data by :meth:`_LoglikEngine.condition`:
-    parameters plus cached training algebra.  Fitting and loading then set its
-    standardization and diagnostics.  Parameters are in standardized output
-    units; predictions are mapped back to original units through (y_mean, y_scale).
+    parameters plus cached training algebra (the factor L of Cz, L⁻¹ for the
+    predictive variances, and α).  Fitting and loading then set its
+    standardization and diagnostics; the model JSON holds neither L nor L⁻¹.
+    Parameters are in standardized output units; predictions are mapped back
+    to original units through (y_mean, y_scale).
     """
 
     params: MgpParams
@@ -513,7 +521,8 @@ class FittedModel:
     basis: RegressionBasis
     y_mean: np.ndarray
     y_scale: np.ndarray
-    chol: np.ndarray = field(repr=False)  # lower factor of Cz = M*C + nugget*I
+    chol: np.ndarray = field(repr=False)  # lower factor L of Cz = M*C + nugget*I
+    chol_inv: np.ndarray = field(repr=False)  # L^-1, lower triangular
     alpha: np.ndarray = field(repr=False)  # M * Cz^-1 (ybar - F beta)
     diagnostics: dict = field(default_factory=dict)
 
@@ -602,9 +611,10 @@ def _standardize(data: Dataset):
     return Dataset(data.specs, data.x, ystd, data.reps, data.output_names), means, scales
 
 
-def _fit_restarts(data, basis, lam, restarts, seed, counts) -> FittedModel:
+def _fit_restarts(data, basis, lam, restarts, seed, counts) -> tuple:
     """Best of ``restarts`` runs of _fit_once, sharing one engine, on ``data``
-    standardized, with y_mean/y_scale set; for K > 1 the first starts from prefits."""
+    standardized, with y_mean/y_scale set, and that engine; for K > 1 the
+    first starts from prefits."""
     sdata, means, scales = _standardize(data)
     engine = _LoglikEngine(sdata, basis)
     rng = np.random.default_rng(seed)
@@ -617,7 +627,7 @@ def _fit_restarts(data, basis, lam, restarts, seed, counts) -> FittedModel:
         # informed first start: univariate prefits for sigma/phi/nugget and an
         # empirical-correlation guess for the angles
         try:
-            prefits = [_fit_restarts(sdata.sub_dataset(i), basis, 0.0, 2, seed, counts)
+            prefits = [_fit_restarts(sdata.sub_dataset(i), basis, 0.0, 2, seed, counts)[0]
                        for i in range(k)]
             informed = _informed_start(sdata, prefits)
         except FitError:
@@ -646,7 +656,7 @@ def _fit_restarts(data, basis, lam, restarts, seed, counts) -> FittedModel:
         raise FitError(f"all {restarts} restarts failed: {errors}")
     best.y_mean = means
     best.y_scale = scales
-    return best
+    return best, engine
 
 
 def fit(data: Dataset, basis: RegressionBasis = None, config: FitConfig = None) -> FittedModel:
@@ -666,11 +676,11 @@ def fit(data: Dataset, basis: RegressionBasis = None, config: FitConfig = None) 
     lam = 0.0 if config.lam == "auto" else float(config.lam)
     # every search of this fit counts, also those of restarts and prefits that fail
     counts = dict.fromkeys(_SEARCH_COUNTS, 0)
-    model = _fit_restarts(data, basis, lam, config.restarts, config.seed, counts)
+    model, engine = _fit_restarts(data, basis, lam, config.restarts, config.seed, counts)
     model.diagnostics.update(counts)
     model.diagnostics["restarts"] = config.restarts
     model.diagnostics["lambda"] = lam
-    return _relaxed_trend(model) if config.lam == "auto" else model
+    return _relaxed_trend(model, engine) if config.lam == "auto" else model
 
 
 def _informed_start(sdata: Dataset, prefits: list):
@@ -696,16 +706,15 @@ def _informed_start(sdata: Dataset, prefits: list):
     return sigma0, phi0, omega0, nugget0
 
 
-def _relaxed_trend(model0: FittedModel) -> FittedModel:
+def _relaxed_trend(model0: FittedModel, engine: _LoglikEngine) -> FittedModel:
     """lam="auto": the lam=0 fit's covariance, and its factor, with the trend
-    picked on the L1 path by BIC over relaxed refits.
+    picked on the L1 path by BIC over relaxed refits; ``engine`` is the fit's.
 
     Each grid value of lambda yields a support via the whitened lasso, the
     support gets an unpenalized GLS refit, and supports are compared by
     residual quadratic form plus ``|support| * log(N)``, ties preferring the
     sparser one.  The winning refit is zero off its support.
     """
-    engine = _LoglikEngine(model0.data, model0.basis)  # standardized
     s = np.sqrt(engine.reps)
     w_f = solve_triangular(model0.chol, engine.f, lower=True) * s
     w_y = solve_triangular(model0.chol, engine.ybar, lower=True) * s
@@ -762,12 +771,15 @@ def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
     """Means and sds at many points: returns (n x K, n x K) arrays.
 
     Rows go in blocks of b: row o*b + i of the cross-covariance r pairs output
-    o at query row i with every training point, so one triangular solve with
-    K*b right-hand sides gives every variance of the block.  Each distinct
-    training design (:attr:`Dataset.design_of`) gets one squared-difference
-    tensor per block, which fills the K blocks of every output on it.
+    o at query row i with every training point, so one triangular product
+    L⁻¹ r' gives every variance of the block, through ‖L⁻¹ r_i‖² = r_i' Cz⁻¹ r_i.
+    Each distinct training design (:attr:`Dataset.design_of`) gets one
+    squared-difference tensor per block, which fills the K blocks of every
+    output on it.  Non-finite query points raise ValueError.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("query points must be finite")
     data, p = model.data, model.params
     k, sigma, design = data.k, p.sigma.sigma, data.design_of
     offs = np.concatenate([[0], np.cumsum([xj.shape[0] for xj in data.x])])
@@ -789,7 +801,7 @@ def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
                 r[o * b : (o + 1) * b, offs[j] : offs[j + 1]] = cov_block_from_sq_diffs(
                     d2[design[j]], harm[oj], norm[oj], st[oj])
         mean_std = model.basis.evaluate(xb) @ beta + (r @ model.alpha).reshape(k, -1).T
-        v = solve_triangular(model.chol, r.T, lower=True)
+        v = dtrmm(1.0, model.chol_inv, r.T, lower=1, overwrite_b=1)  # in r's memory
         var_std = sigma ** 2 + p.nugget - data.reps * (v * v).sum(axis=0).reshape(k, -1).T
         means[lo : lo + b] = model.y_mean + model.y_scale * mean_std
         sds[lo : lo + b] = model.y_scale * np.sqrt(np.maximum(var_std, 0.0))

@@ -266,6 +266,24 @@ class TestPredict:
                     "--out", str(out)]) == EXIT_DATA
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: ["nan"] + row[1:], "non-finite value at row 3"),
+        (lambda row: row[:1] + ["inf"] + row[2:], "non-finite value at row 3"),
+        (lambda row: row[:-1], f"row 3 has {len(DEFAULT_SPECS) - 1} values, expected "
+                               f"{len(DEFAULT_SPECS)}"),
+    ], ids=["nan", "inf", "ragged"])
+    def test_bad_point_row_is_data_error(self, workdir, capsys, edit, message):
+        model = make_model(workdir)
+        unit, _ = make_design(workdir, n=5, seed=3, out="pts")
+        rows = [r.split(",") for r in unit.read_text().splitlines()]
+        rows[2] = edit(rows[2])
+        unit.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        out = workdir / "pred.csv"
+        assert run(["predict", "--model", str(model), "--points", str(unit),
+                    "--out", str(out)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_rmse_table(self, workdir, capsys):

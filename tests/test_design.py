@@ -110,6 +110,12 @@ class TestScaleDesign:
             scale_design(d, TABLE_SPECS)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+def test_design_matrix_rejects_points_outside_the_unit_cube(bad):
+    with pytest.raises(ValueError, match="unit hypercube"):
+        DesignMatrix(np.array([[bad, 0.5]]))
+
+
 class TestMorrisTrajectories:
     def test_shape_and_coverage(self):
         (t,) = morris_trajectories(1, 3, delta=0.3, seed=0)
@@ -184,6 +190,20 @@ class TestDesignCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n0.1,0.2\n0.3,oops\n")
         with pytest.raises(ValueError, match="row 3"):
+            read_design_csv(path, TABLE_SPECS[:2])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"u_a,u_b\n0.1,0.2\n0.3,0.4\n{cell},0.5\n")
+        with pytest.raises(ValueError, match="non-finite value at row 4"):
+            read_design_csv(path, TABLE_SPECS[:2])
+
+    @pytest.mark.parametrize("row, m", [("0.3", 1), ("0.3,0.4,0.5", 3)])
+    def test_ragged_row_reports_location(self, tmp_path, row, m):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"u_a,u_b\n0.1,0.2\n{row}\n0.6,0.7\n")
+        with pytest.raises(ValueError, match=f"row 3 has {m} values, expected 2"):
             read_design_csv(path, TABLE_SPECS[:2])
 
 

@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, cholesky, solve_triangular
+from scipy.linalg import block_diag, cholesky
+from scipy.linalg.blas import dtrmm
 
 from mgpkit.covkernel import (
     CrossCorrAngles,
@@ -638,8 +639,8 @@ class TestLoglikEngine:
         # last), and its returned model reuses the last of those factors;
         # λ="auto" conditions the relaxed trend on the λ=0 model's factor,
         # so it adds no factorization; no covariance comes from cov_matrix;
-        # the restarts on one dataset share its engine, and λ="auto" builds
-        # one more for the relaxed trend
+        # the restarts on one dataset share its engine, which λ="auto" reuses
+        # for the relaxed trend
         counts = {"cov_matrix": 0, "fit": 0, "_fit_once": 0, "_LoglikEngine": 0,
                   "factorizations": 0}
         searching = []
@@ -682,13 +683,13 @@ class TestLoglikEngine:
         counts.update(dict.fromkeys(counts, 0))
         mgpkit.mgp.fit(criterion6_like_data(), RegressionBasis("linear"),
                        FitConfig(lam="auto", restarts=1))
-        assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 1, "_LoglikEngine": 2,
+        assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 1, "_LoglikEngine": 1,
                           "factorizations": per_run}
 
 
 def per_pair_predict_batch(model, x):
     """predict_batch assembled from K^2 cross_cov_block calls and np.block,
-    with the same blocking and solve: the reference for bit-equality."""
+    with the same blocking and product with L⁻¹: the reference for bit-equality."""
     data, p = model.data, model.params
     k, t = data.k, p.t
     beta = np.column_stack(p.beta)
@@ -699,10 +700,34 @@ def per_pair_predict_batch(model, x):
         r = np.block([[cross_cov_block(xb, data.x[j], o, j, p.sigma, p.phi, t) for j in range(k)]
                       for o in range(k)])
         mean_std = model.basis.evaluate(xb) @ beta + (r @ model.alpha).reshape(k, -1).T
-        v = solve_triangular(model.chol, r.T, lower=True)
+        v = dtrmm(1.0, model.chol_inv, r.T, lower=1)
         var_std = p.sigma.sigma ** 2 + p.nugget - data.reps * (v * v).sum(axis=0).reshape(k, -1).T
         means[lo : lo + len(xb)] = model.y_mean + model.y_scale * mean_std
         sds[lo : lo + len(xb)] = model.y_scale * np.sqrt(np.maximum(var_std, 0.0))
+    return means, sds
+
+
+def dense_kriging(model, xq):
+    """Means and sds at ``xq`` from the joint prior over the stacked (repeated)
+    training points and the query points of every output, conditioned by
+    dense solves: the independent reference for predict_batch."""
+    data, params, basis = model.data, model.params, model.basis
+    reps, nq = data.reps, len(xq)
+    stacked = [np.vstack([np.repeat(xi, reps, axis=0), xq]) for xi in data.x]
+    full = cov_matrix(stacked, params.sigma, params.phi, params.t)
+    ends = np.cumsum([len(s) for s in stacked])
+    train = np.concatenate([np.arange(e - len(s), e - nq) for e, s in zip(ends, stacked)])
+    r_tt = full[np.ix_(train, train)] + params.nugget * np.eye(len(train))
+    resid = np.concatenate(data.y) - stacked_f(data, basis) @ params.beta_concat()
+    means, sds = np.empty((nq, data.k)), np.empty((nq, data.k))
+    for i in range(data.k):
+        query = np.arange(ends[i] - nq, ends[i])
+        r_qt = full[np.ix_(query, train)]
+        m_std = basis.evaluate(xq) @ params.beta[i] + r_qt @ np.linalg.solve(r_tt, resid)
+        v_std = (np.diag(full[np.ix_(query, query)]) + params.nugget
+                 - np.sum(r_qt * np.linalg.solve(r_tt, r_qt.T).T, axis=1))
+        means[:, i] = model.y_mean[i] + model.y_scale[i] * m_std
+        sds[:, i] = model.y_scale[i] * np.sqrt(v_std)
     return means, sds
 
 
@@ -725,32 +750,79 @@ class TestBatchedPrediction:
         model.y_scale = np.array([2.0, 0.3, 5.0])
         outside = np.array([[-0.1, 0.5], [1.15, 0.3], [0.4, 1.3]])
         xq = np.vstack([rng.uniform(size=(22, l)), outside])
-        nq = len(xq)
         mean, sd = predict_batch(model, xq)
-
-        # joint prior over the stacked (repeated) training points and the
-        # query points of every output, conditioned by dense solves
-        stacked = [np.vstack([np.repeat(xi, reps, axis=0), xq]) for xi in xs]
-        full = cov_matrix(stacked, params.sigma, params.phi, params.t)
-        ends = np.cumsum([len(s) for s in stacked])
-        train = np.concatenate([np.arange(e - len(s), e - nq) for e, s in zip(ends, stacked)])
-        r_tt = full[np.ix_(train, train)] + params.nugget * np.eye(len(train))
-        resid = np.concatenate(ys) - stacked_f(data, basis) @ params.beta_concat()
-        for i in range(k):
-            query = np.arange(ends[i] - nq, ends[i])
-            r_qt = full[np.ix_(query, train)]
-            m_std = basis.evaluate(xq) @ params.beta[i] + r_qt @ np.linalg.solve(r_tt, resid)
-            v_std = (np.diag(full[np.ix_(query, query)]) + params.nugget
-                     - np.sum(r_qt * np.linalg.solve(r_tt, r_qt.T).T, axis=1))
-            np.testing.assert_allclose(
-                mean[:, i], model.y_mean[i] + model.y_scale[i] * m_std, rtol=0, atol=1e-9
-            )
-            np.testing.assert_allclose(
-                sd[:, i], model.y_scale[i] * np.sqrt(v_std), rtol=0, atol=1e-9
-            )
+        ref_mean, ref_sd = dense_kriging(model, xq)
+        np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(sd, ref_sd, rtol=0, atol=1e-9)
         preds = [predict(model, x0) for x0 in xq]
         np.testing.assert_allclose([pr.mean for pr in preds], mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose([pr.sd for pr in preds], sd, rtol=0, atol=1e-12)
+
+    def test_ill_conditioned_model_matches_dense_kriging_oracle(self, monkeypatch):
+        # K=3 with the nugget at its lower bound e^-18 and smooth kernels
+        # (small φ): the factor's condition number is near 1e5, and the sds
+        # near training points are about 1e-4, where the product with the
+        # computed L⁻¹ is least accurate
+        monkeypatch.setattr("mgpkit.mgp.PREDICT_BLOCK_ROWS", 8)
+        rng = np.random.default_rng(0)
+        k, l, reps = 3, 2, 2
+        xs = [rng.uniform(size=(n, l)) for n in (12, 14, 13)]
+        ys = [rng.normal(size=len(xi) * reps) for xi in xs]
+        data = Dataset(UNIT_SPECS_2D, xs, ys, reps, ["a", "b", "c"])
+        params = make_params(k, l, 3, rng, nugget=float(np.exp(-18.0)))
+        params.phi = RoughnessParams(rng.uniform(0.05, 0.2, size=(k, l)))
+        model = _LoglikEngine(data, RegressionBasis("linear")).condition(params)
+        assert model.diagnostics["jitter"] == 0.0
+        assert 3e4 < np.linalg.cond(model.chol) < 3e5
+        xq = np.vstack([rng.uniform(size=(20, l)), xs[0][:3], xs[1][:2]])
+        mean, sd = predict_batch(model, xq)
+        ref_mean, ref_sd = dense_kriging(model, xq)
+        assert sd.min() < 2e-4
+        np.testing.assert_allclose(sd, ref_sd, rtol=0, atol=1e-9)
+
+    def test_variances_multiply_by_one_inverse_per_conditioned_model(self, monkeypatch):
+        # conditioning inverts the factor once; prediction solves nothing
+        calls = {"dtrtri": 0, "solve_triangular": 0, "condition": 0}
+
+        def counted(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(mgpkit.mgp, "dtrtri", "dtrtri")
+        counted(mgpkit.mgp, "solve_triangular", "solve_triangular")
+        counted(_LoglikEngine, "condition", "condition")
+        monkeypatch.setattr("mgpkit.mgp.PREDICT_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(22)
+        xs = [rng.uniform(size=(n, 2)) for n in (6, 5)]
+        data = Dataset(UNIT_SPECS_2D, xs, [rng.normal(size=n) for n in (6, 5)], 1, ["a", "b"])
+        model = _LoglikEngine(data, RegressionBasis("linear")).condition(
+            make_params(2, 2, 3, rng, nugget=0.1))
+        assert calls == {"dtrtri": 1, "solve_triangular": 0, "condition": 1}
+        predict_batch(model, rng.uniform(size=(11, 2)))
+        loaded = model_from_json(model_to_json(model))
+        predict(loaded, np.full(2, 0.5))
+        assert calls == {"dtrtri": 2, "solve_triangular": 0, "condition": 2}
+        fit(data, RegressionBasis("const"), FitConfig(lam="auto", restarts=2))
+        assert calls["dtrtri"] == calls["condition"] > 2
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_query_point_is_rejected(self, bad):
+        rng = np.random.default_rng(23)
+        x = rng.uniform(size=(6, 2))
+        data = Dataset(UNIT_SPECS_2D, [x], [np.sin(3 * x[:, 0])], 1, ["y"])
+        model = _LoglikEngine(data, RegressionBasis("linear")).condition(
+            make_params(1, 2, 3, rng, nugget=0.1))
+        xq = rng.uniform(size=(5, 2))
+        xq[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            predict_batch(model, xq)
+        with pytest.raises(ValueError, match="finite"):
+            predict(model, xq[3])
 
     @pytest.mark.parametrize("sizes, reps", [((5, 9, 7), 2), ((8,), 1)],
                              ids=["heterotopic-k3", "k1"])
