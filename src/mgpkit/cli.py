@@ -167,6 +167,8 @@ def _print_corr(model, heading: str) -> None:
 def _print_fit_report(model, name: str) -> None:
     print(f"model={name} loglik={model.diagnostics['loglik']:.6g} "
           f"lambda={model.diagnostics.get('lambda', model.params.lam)}")
+    lls = " ".join(f"{v:.6g}" for v in model.diagnostics["round_loglik"])
+    print(f"loglik by search (warm-up when K > 1, then each round): {lls}")
     _print_corr(model, "estimated cross-correlation matrix:")
     pattern = ["".join("0" if b == 0.0 else "x" for b in bo) for bo in model.params.beta]
     print(f"beta sparsity (x=nonzero): {' '.join(pattern)}")

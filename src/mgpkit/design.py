@@ -7,7 +7,7 @@ units through :func:`scale_design` with a list of :class:`InputSpec`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -33,6 +33,8 @@ class DesignMatrix:
     """n points in [0,1]^l, one row per point."""
 
     points: np.ndarray
+    # min_distance() measured once: maximin_lhs measures every candidate
+    _min_distance: float = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -52,7 +54,9 @@ class DesignMatrix:
 
     def min_distance(self) -> float:
         """Minimum pairwise Euclidean distance between design points."""
-        return float(pdist(self.points).min())
+        if self._min_distance is None:
+            object.__setattr__(self, "_min_distance", float(pdist(self.points).min()))
+        return self._min_distance
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from mgpkit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from mgpkit.design import maximin_lhs, morris_trajectories, read_design_csv, scale_design
@@ -81,6 +82,17 @@ class TestDesign:
         unit2, phys2 = make_design(workdir, out="b")
         assert (digest(unit2), digest(phys2)) == h1
 
+    def test_measures_the_design_once_per_candidate(self, workdir, monkeypatch, capsys):
+        # maximin_lhs measures each candidate; the logged minimum distance is
+        # the winner's, not a second pdist
+        calls = []
+        monkeypatch.setattr("mgpkit.design.pdist", lambda x: calls.append(1) or pdist(x))
+        assert run(["design", "--n", "30", "--seed", "2", "--restarts", "4",
+                    "--out", str(workdir / "d")]) == EXIT_OK
+        assert len(calls) == 4
+        want = float(pdist(maximin_lhs(30, len(DEFAULT_SPECS), 2, restarts=4).points).min())
+        assert f"min_distance={want:.6g} " in capsys.readouterr().out
+
     def test_custom_specs_file(self, workdir, capsys):
         specs = workdir / "specs.csv"
         specs.write_text("name,lower,upper\na,0,1\nb,2,4\n")
@@ -134,6 +146,11 @@ class TestFit:
         assert doc["version"] == "mgpkit-model-v1"
         out = capsys.readouterr().out
         assert "cross-correlation" in out and "beta sparsity" in out
+        # the penalized log-likelihood after the warm-up and each round
+        lls = doc["diagnostics"]["round_loglik"]
+        assert len(lls) == 3
+        assert ("loglik by search (warm-up when K > 1, then each round): "
+                + " ".join(f"{v:.6g}" for v in lls)) in out
 
     def test_huge_lambda_zeroes_beta(self, workdir, capsys):
         make_model(workdir, extra=("--lambda", "1e9"))

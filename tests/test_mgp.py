@@ -686,6 +686,34 @@ class TestLoglikEngine:
         assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 1, "_LoglikEngine": 1,
                           "factorizations": per_run}
 
+    def test_search_budget(self):
+        # a K=2 fit with restarts=1: two restarts of each univariate prefit at
+        # 2 rounds each, then the joint restart's warm-up and its 2 rounds; a
+        # K=1 fit has no prefits and no warm-up
+        x = lhs(10, 1, seed=4).points
+        k2 = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
+                     ["a", "b"])
+        config = FitConfig(lam=0.0, restarts=1)
+        assert fit(k2, RegressionBasis("const"), config).diagnostics["searches"] == 11
+        assert fit(k2.sub_dataset(0), RegressionBasis("const"), config).diagnostics["searches"] == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_round_loglik_does_not_decrease(self, k):
+        # each round's GLS step maximizes ℓ over β at the search's θ (λ=0),
+        # and each search starts where the step left it; the returned model's
+        # β is solved once more at the last search's θ
+        rng = np.random.default_rng(40 + k)
+        x = lhs(15, 2, seed=k).points
+        ys = [np.sin(3 * x[:, 0]) + c * x[:, 1] + 0.05 * rng.normal(size=15)
+              for c in np.linspace(-1.0, 1.0, k)]
+        data = Dataset(UNIT_SPECS_2D, [x] * k, ys, 1, [f"y{i}" for i in range(k)])
+        model = fit(data, RegressionBasis("linear"), FitConfig(lam=0.0, restarts=2))
+        lls = model.diagnostics["round_loglik"]
+        assert len(lls) == mgpkit.mgp._MAX_ROUNDS + (k > 1)  # the warm-up when K > 1
+        for before, after in zip(lls, lls[1:] + [model.diagnostics["loglik"]]):
+            assert after >= before - 1e-9 * abs(before)
+        assert json.loads(model_to_json(model))["diagnostics"]["round_loglik"] == lls
+
 
 def per_pair_predict_batch(model, x):
     """predict_batch assembled from K^2 cross_cov_block calls and np.block,
