@@ -120,6 +120,8 @@ def corr_and_angle_grads(angles: np.ndarray, k: int) -> tuple:
     E[r, s] = cos(omega) * prod sin into -sin(omega) * prod sin; so
     dT = dE E' + E dE' is nonzero in row and column r only.
     """
+    if k == 1:  # T is [[1]] and there are no angles
+        return np.ones((1, 1)), np.zeros((0, 1, 1))
     e = _sphere_rows(angles, k)
     grads = np.zeros((n_angles(k), k, k))
     p = 0
@@ -179,17 +181,14 @@ def harmonic_precisions(phi_i: np.ndarray, phi_j: np.ndarray) -> np.ndarray:
     return 2.0 * phi_i * phi_j / (phi_i + phi_j)
 
 
-def cov_block_from_sq_diffs(
-    d2: np.ndarray, harm: np.ndarray, normalizer: float, scale: float = 1.0
-) -> np.ndarray:
-    """scale * (normalizer * exp(-d' H d)) over squared differences ``d2``.
-
-    ``harm`` is H from :func:`harmonic_precisions` and ``normalizer`` the
-    factor from :func:`mean_normalizer`; with scale = sigma_i sigma_j T_ij
-    this is the cross-covariance block.  The kernel is scaled once formed, as
-    the likelihood engine scales it, so both give the same bits.
-    """
-    return scale * (normalizer * np.exp(-np.einsum("abk,k->ab", d2, harm)))
+def kernels_from_sq_diffs(d2: np.ndarray, harm: np.ndarray, normalizer: np.ndarray) -> np.ndarray:
+    """normalizer_g * exp(-d' H_g d) for G rows H_g of ``harm`` and G normalizers
+    (:func:`pair_constants`) over ``d2``, squared differences as (n_a n_b x l):
+    G x (n_a n_b) kernels from one matrix product and one exp.  A row's bits
+    depend on G (GEMV for G = 1, else GEMM): assemblies that must agree group alike."""
+    e = harm @ d2.T
+    np.exp(np.negative(e, out=e), out=e)
+    return np.multiply(normalizer[:, None], e, out=e)
 
 
 def cross_cov_block(
@@ -205,18 +204,17 @@ def cross_cov_block(
 
     For point sets (n_a x l) and (n_b x l) returns the (n_a x n_b) matrix
     sigma_i sigma_j T_ij * exp(-d' H d) / det-normalizer, where d = xa - xb
-    (see :func:`cov_block_from_sq_diffs`).
+    (see :func:`kernels_from_sq_diffs`).
     """
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     if xa.shape[1] != xb.shape[1]:
         raise ValueError("point sets must share a dimension")
-    pi, pj = phi.phi[i], phi.phi[j]
-    if pi.size != xa.shape[1]:
+    if phi.phi.shape[1] != xa.shape[1]:
         raise ValueError("point dimension does not match roughness parameters")
-    scale = sigma.sigma[i] * sigma.sigma[j] * t.t[i, j]
-    return cov_block_from_sq_diffs(sq_diffs(xa, xb), harmonic_precisions(pi, pj),
-                                   mean_normalizer(pi, pj), scale)
+    _, harm, norm, _, st = pair_constants(sigma.sigma, phi.phi, t.t, [i], [j])
+    e = kernels_from_sq_diffs(sq_diffs(xa, xb).reshape(-1, xa.shape[1]), harm, norm)
+    return st[0] * e.reshape(len(xa), len(xb))
 
 
 def det_normalizer(phi_i: np.ndarray, phi_j: np.ndarray) -> float:
@@ -239,30 +237,65 @@ def mean_normalizer(phi_i: np.ndarray, phi_j: np.ndarray):
     return 1.0 / np.prod(((pi + pj) / 2.0 * (1.0 / pi + 1.0 / pj) / 2.0) ** 0.25, axis=-1)
 
 
-def cov_matrix(
-    xs: list[np.ndarray],
-    sigma: MarginalSds,
-    phi: RoughnessParams,
-    t: CrossCorrMatrix,
-    nugget: float = 0.0,
-) -> np.ndarray:
+def design_of(xs: list) -> list:
+    """Per point set, the index of the first one with exactly the same points."""
+    return [next(q for q, xq in enumerate(xs) if np.array_equal(xq, xi)) for xi in xs]
+
+
+def pair_constants(sigma, phi, t, ii, jj):
+    """Per output pair (ii[p], jj[p]) of sigma (K), phi (K x l) and T: (φ_i, φ_j)
+    as a P x 2 x l array, H, the normalizer, sigma_i sigma_j and sigma_i sigma_j T_ij."""
+    phi_ends = np.stack([phi[ii], phi[jj]], axis=1)
+    pi, pj = phi_ends[:, 0], phi_ends[:, 1]
+    s = sigma[ii] * sigma[jj]
+    return phi_ends, harmonic_precisions(pi, pj), mean_normalizer(pi, pj), s, s * t[ii, jj]
+
+
+class OutputPairs:
+    """The pairs i <= j of K point sets, row by row, each with its block (rows,
+    cols) of the stacked covariance, in groups on the same two point sets
+    (:func:`design_of`): (pair indices, squared differences as (n_a n_b x l))."""
+
+    def __init__(self, xs: list):
+        self.ii, self.jj = np.triu_indices(len(xs))
+        o = np.concatenate([[0], np.cumsum([len(x) for x in xs])])
+        self.size = o[-1]
+        self.blocks = [(slice(o[i], o[i + 1]), slice(o[j], o[j + 1]))
+                       for i, j in zip(self.ii, self.jj)]
+        design, members = design_of(xs), {}
+        for p, (i, j) in enumerate(zip(self.ii, self.jj)):
+            members.setdefault((design[i], design[j]), []).append(p)
+        self.groups = [(np.array(ps), sq_diffs(xs[a], xs[b]).reshape(-1, xs[a].shape[1]))
+                       for (a, b), ps in members.items()]
+
+    def cov(self, consts) -> tuple:
+        """C from the :func:`pair_constants` of these pairs, and each group's
+        kernels (G x n_a n_b) from one :func:`kernels_from_sq_diffs` call."""
+        _, harm, norm, _, st = consts
+        c = np.empty((self.size, self.size))
+        kernels = [kernels_from_sq_diffs(d2, harm[ps], norm[ps]) for ps, d2 in self.groups]
+        for (ps, _), e in zip(self.groups, kernels):
+            for p, e_p in zip(ps, e):
+                rows, cols = self.blocks[p]
+                block = c[rows, cols]
+                np.multiply(st[p], e_p.reshape(block.shape), out=block)
+                if rows != cols:
+                    c[cols, rows] = block.T
+        return c, kernels
+
+
+def cov_matrix(xs: list[np.ndarray], sigma: MarginalSds, phi: RoughnessParams,
+               t: CrossCorrMatrix, nugget: float = 0.0) -> np.ndarray:
     """Full covariance over K per-output point sets, in output-block order.
 
     Adds nugget * I; the result is positive definite for nugget > 0, and
     exactly symmetric: each block below the diagonal is stored as the
     transpose of its mirror, and diagonal blocks are symmetric entry by entry.
+    Its pairs are grouped as the likelihood engine's, so both give the same bits.
     """
     if nugget < 0.0:
         raise ValueError(f"nugget must be >= 0, got {nugget}")
-    k = len(xs)
-    xs = [np.atleast_2d(np.asarray(x, dtype=float)) for x in xs]
-    offs = np.concatenate([[0], np.cumsum([x.shape[0] for x in xs])])
-    r = np.empty((offs[-1], offs[-1]))
-    for i in range(k):
-        for j in range(i, k):
-            block = cross_cov_block(xs[i], xs[j], i, j, sigma, phi, t)
-            r[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = block
-            if j > i:
-                r[offs[j] : offs[j + 1], offs[i] : offs[i + 1]] = block.T
-    r += nugget * np.eye(offs[-1])
+    pairs = OutputPairs([np.atleast_2d(np.asarray(x, dtype=float)) for x in xs])
+    r = pairs.cov(pair_constants(sigma.sigma, phi.phi, t.t, pairs.ii, pairs.jj))[0]
+    r += nugget * np.eye(pairs.size)
     return r

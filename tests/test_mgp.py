@@ -11,10 +11,12 @@ from mgpkit.covkernel import (
     MarginalSds,
     RoughnessParams,
     angles_to_corr,
+    corr_and_angle_grads,
     cov_matrix,
     cross_cov_block,
 )
 from mgpkit.design import InputSpec, lhs
+import mgpkit.covkernel
 import mgpkit.mgp
 from mgpkit.mgp import (
     _COV_MAXITER,
@@ -451,10 +453,11 @@ class TestFitAndPredict:
 
 
 def engine_cases():
-    """(data, basis) for K = 1, 2, 3, isotopic and heterotopic, 1 and 3 reps."""
+    """(data, basis) for K = 1, 2, 3, isotopic and heterotopic, 1 and 3 reps;
+    at K=3 also outputs 0 and 2 on one design and output 1 on another."""
     rng = np.random.default_rng(21)
     for k in (1, 2, 3):
-        for sizes in ((7,) * k, (7, 9, 5)[:k]):
+        for sizes in ((7,) * k, (7, 9, 5)[:k]) + (((7, 9, 7),) if k == 3 else ()):
             for reps in (1, 3):
                 x0 = rng.uniform(size=(7, 2))
                 xs = [x0 if n == 7 else rng.uniform(size=(n, 2)) for n in sizes]
@@ -503,6 +506,55 @@ class TestLoglikEngine:
                 p = params_at(theta, np.zeros(k), data, 0.0)
                 c = engine._c(p.sigma.sigma, p.phi.phi, p.t.t)[0]
                 assert np.array_equal(c, cov_matrix(data.x, p.sigma, p.phi, p.t))
+
+    def test_one_kernel_product_per_distinct_design_pair(self, monkeypatch):
+        # the engine groups its pairs by their two designs: one
+        # kernels_from_sq_diffs call per group and evaluation, whose rows
+        # match the kernel evaluated pair by pair; the product and the sum
+        # of products may differ in the exponent x's last bit, which exp
+        # turns into x ulps of the kernel, so the bound is 1e-15 per unit of x
+        rng = np.random.default_rng(29)
+        kernels_, calls = mgpkit.covkernel.kernels_from_sq_diffs, []
+
+        def checked(d2, harm, norm):
+            e = kernels_(d2, harm, norm)
+            calls.append(len(harm))
+            x = np.stack([(d2 * h).sum(-1) for h in harm])
+            ref = norm[:, None] * np.exp(-x)
+            assert np.all(np.abs(e - ref) <= 1e-15 * np.maximum(x, 1.0) * ref)
+            return e
+
+        monkeypatch.setattr(mgpkit.covkernel, "kernels_from_sq_diffs", checked)
+        seen = set()
+        for data, basis in engine_cases():
+            design = data.design_of
+            engine = _LoglikEngine(data, basis)
+            calls.clear()
+            engine.loglik_grad(random_theta(data, rng), np.zeros(data.k * basis.width(data.l)))
+            assert len(calls) == len({(design[i], design[j]) for i, j in zip(engine.ii, engine.jj)})
+            assert sum(calls) == len(engine.ii)
+            seen.add((tuple(design), tuple(sorted(calls))))
+        assert ((0, 0, 0), (6,)) in seen  # isotopic: one product for all six pairs
+        assert ((0, 1, 0), (1, 1, 1, 3)) in seen
+
+    def test_k1_correlation_shortcut_changes_no_bit(self, monkeypatch):
+        # at K=1 corr_and_angle_grads returns T = [[1]] and no angle
+        # derivatives without the sphere-row loops; ℓ and ∇ℓ equal those
+        # from T built by those loops (angles_to_corr)
+        t, dt = corr_and_angle_grads(np.array([]), 1)
+        assert np.array_equal(t, angles_to_corr(CrossCorrAngles(np.array([]), 1)).t)
+        assert dt.shape == (0, 1, 1)
+        rng = np.random.default_rng(28)
+        cases = [(_LoglikEngine(data, basis), random_theta(data, rng),
+                  rng.normal(size=basis.width(data.l)))
+                 for data, basis in engine_cases() if data.k == 1]
+        got = [engine.loglik_grad(theta, beta, 0.3) for engine, theta, beta in cases]
+        monkeypatch.setattr("mgpkit.mgp.corr_and_angle_grads", lambda angles, k: (
+            angles_to_corr(CrossCorrAngles(angles, k)).t, np.zeros((0, k, k))))
+        for (engine, theta, beta), (ll, grad) in zip(cases, got):
+            want_ll, want_grad = engine.loglik_grad(theta, beta, 0.3)
+            assert ll == want_ll
+            assert np.array_equal(grad, want_grad)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(23)
@@ -696,6 +748,31 @@ class TestLoglikEngine:
         config = FitConfig(lam=0.0, restarts=1)
         assert fit(k2, RegressionBasis("const"), config).diagnostics["searches"] == 11
         assert fit(k2.sub_dataset(0), RegressionBasis("const"), config).diagnostics["searches"] == 2
+
+    def test_only_the_prefits_loosen_ftol(self, monkeypatch):
+        # the univariate prefits only seed the joint search, so only their
+        # searches stop at _PREFIT_FTOL; every other search keeps L-BFGS-B's
+        # default ftol
+        options, minimize_ = [], mgpkit.mgp.minimize
+
+        def recorded(*args, **kwargs):
+            options.append(kwargs["options"])
+            return minimize_(*args, **kwargs)
+
+        monkeypatch.setattr("mgpkit.mgp.minimize", recorded)
+        x = lhs(10, 1, seed=4).points
+        k2 = Dataset(UNIT_SPECS_1D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 0])], 1,
+                     ["a", "b"])
+        config = FitConfig(lam=0.0, restarts=1)
+        fit(k2, RegressionBasis("const"), config)
+        # two restarts of each prefit at two rounds each, then the joint
+        # restart's warm-up and its two rounds
+        prefit = {"maxiter": _COV_MAXITER, "ftol": mgpkit.mgp._PREFIT_FTOL}
+        assert options == [prefit] * 8 + [{"maxiter": _COV_MAXITER}] * 3
+        options.clear()
+        fit(k2.sub_dataset(0), RegressionBasis("const"), config)
+        fit_independent(k2, RegressionBasis("const"), config)
+        assert options == [{"maxiter": _COV_MAXITER}] * 6
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_round_loglik_does_not_decrease(self, k):
