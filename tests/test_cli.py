@@ -254,11 +254,21 @@ class TestPredict:
             rows.append(row)
         assert out.read_bytes() == per_value_csv(header, rows)
 
-    def test_corrupt_model_is_data_error(self, workdir):
+    def test_corrupt_model_is_data_error(self, workdir, capsys):
         bad = workdir / "bad.json"
-        bad.write_text('{"version": "other"}')
         unit, _ = make_design(workdir, n=4, out="pts")
-        assert run(["predict", "--model", str(bad), "--points", str(unit)]) == EXIT_DATA
+        # an unknown version, a known version with no other field, and a
+        # document that is not an object: each error names what is wrong
+        for text, message in [('{"version": "other"}', "unsupported model format: 'other'"),
+                              ('{"version": "mgpkit-model-v1"}', "field 'specs' is missing"),
+                              ("[]", "field 'version' is missing")]:
+            bad.write_text(text)
+            capsys.readouterr()
+            assert run(["predict", "--model", str(bad), "--points", str(unit)]) == EXIT_DATA
+            assert message in capsys.readouterr().err
+            assert run(["sensitivity", "--target", str(bad), "--r", "2",
+                        "--out", str(workdir / "s")]) == EXIT_DATA
+            assert message in capsys.readouterr().err
 
     def test_replicated_model_with_zero_nugget_is_data_error(self, workdir, capsys):
         # the replicate-SSE term of the likelihood divides by the nugget

@@ -686,15 +686,16 @@ class TestLoglikEngine:
         assert len(conditioned) == 4
 
     def test_one_factorization_per_conditioned_model(self, monkeypatch):
-        # fit is entered once per call; outside its searches, each _fit_once
+        # fit is entered once per call and standardizes its data once, for the
+        # prefits too; outside its searches, each _fit_once
         # run factors Cz once per β step (one per round and one after the
         # last), and its returned model reuses the last of those factors;
         # λ="auto" conditions the relaxed trend on the λ=0 model's factor,
         # so it adds no factorization; no covariance comes from cov_matrix;
         # the restarts on one dataset share its engine, which λ="auto" reuses
         # for the relaxed trend
-        counts = {"cov_matrix": 0, "fit": 0, "_fit_once": 0, "_LoglikEngine": 0,
-                  "factorizations": 0}
+        counts = {"cov_matrix": 0, "fit": 0, "_standardize": 0, "_fit_once": 0,
+                  "_LoglikEngine": 0, "factorizations": 0}
         searching = []
         minimize_, factor_ = mgpkit.mgp.minimize, mgpkit.mgp._factor_collapsed
 
@@ -718,7 +719,7 @@ class TestLoglikEngine:
             counts["factorizations"] += not searching
             return factor_(*args)
 
-        for name in ("cov_matrix", "fit", "_fit_once", "_LoglikEngine"):
+        for name in ("cov_matrix", "fit", "_standardize", "_fit_once", "_LoglikEngine"):
             counted(name)
         monkeypatch.setattr(mgpkit.mgp, "minimize", search)
         monkeypatch.setattr(mgpkit.mgp, "_factor_collapsed", factor)
@@ -729,14 +730,14 @@ class TestLoglikEngine:
         # two restarts of each univariate prefit, then the two joint restarts;
         # one engine per prefit and one for the joint fit
         per_run = mgpkit.mgp._MAX_ROUNDS + 1
-        assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 6, "_LoglikEngine": 3,
-                          "factorizations": 6 * per_run}
+        assert counts == {"cov_matrix": 0, "fit": 1, "_standardize": 1, "_fit_once": 6,
+                          "_LoglikEngine": 3, "factorizations": 6 * per_run}
 
         counts.update(dict.fromkeys(counts, 0))
         mgpkit.mgp.fit(criterion6_like_data(), RegressionBasis("linear"),
                        FitConfig(lam="auto", restarts=1))
-        assert counts == {"cov_matrix": 0, "fit": 1, "_fit_once": 1, "_LoglikEngine": 1,
-                          "factorizations": per_run}
+        assert counts == {"cov_matrix": 0, "fit": 1, "_standardize": 1, "_fit_once": 1,
+                          "_LoglikEngine": 1, "factorizations": per_run}
 
     def test_search_budget(self):
         # a K=2 fit with restarts=1: two restarts of each univariate prefit at
@@ -790,6 +791,44 @@ class TestLoglikEngine:
         for before, after in zip(lls, lls[1:] + [model.diagnostics["loglik"]]):
             assert after >= before - 1e-9 * abs(before)
         assert json.loads(model_to_json(model))["diagnostics"]["round_loglik"] == lls
+
+    def test_starts_from_perfectly_correlated_outputs_keep_their_angles_inside(
+            self, monkeypatch):
+        # outputs y, y and -y have empirical correlations of exactly ±1; the
+        # informed start shrinks them toward I, so every eigenvalue of its T is
+        # >= 0.2; each angle's sine is at least its row's diagonal Cholesky
+        # entry, whose square is >= 0.2, so the angles, and those of the
+        # perturbed start, which mixes them with pi/2, lie in
+        # [arcsin sqrt(0.2), pi - arcsin sqrt(0.2)] = [0.46, 2.68]
+        starts, fit_once = [], mgpkit.mgp._fit_once
+
+        def recorded(engine, lam, counts, start=None, **options):
+            if engine.k == 3:
+                starts.append(start)
+            return fit_once(engine, lam, counts, start=start, **options)
+
+        monkeypatch.setattr(mgpkit.mgp, "_fit_once", recorded)
+        x = lhs(12, 1, seed=5).points
+        y = np.sin(6 * x[:, 0]) + x[:, 0]
+        data = Dataset(UNIT_SPECS_1D, [x] * 3, [y, y, -y], 1, ["a", "b", "c"])
+        model = fit(data, RegressionBasis("const"), FitConfig(lam=0.0, restarts=2))
+        assert np.isfinite(model.diagnostics["loglik"])
+        t_emp = np.corrcoef(model.data.point_means())
+        np.testing.assert_allclose(np.abs(t_emp), 1.0, rtol=0.0, atol=1e-12)
+        lo = np.arcsin(np.sqrt(0.2))
+        assert len(starts) == 2
+        for _, _, omega, _ in starts:
+            assert np.all((omega >= lo) & (omega <= np.pi - lo))
+
+    def test_angle_bounds_unpack_inside_the_open_interval(self):
+        # L-BFGS-B keeps each angle's u within _OMEGA_U_BOUNDS, where pi * expit(u)
+        # stays at least 1.9e-5 inside (0, pi), as CrossCorrAngles requires
+        k, l = 3, 2
+        for u in mgpkit.mgp._OMEGA_U_BOUNDS:
+            theta = np.concatenate([np.zeros(k + k * l), np.full(3, u), [0.0]])
+            omega = _unpack(theta, k, l)[2]
+            assert np.all(np.minimum(omega, np.pi - omega) > 1.9e-5)
+            CrossCorrAngles(omega, k)  # raises on any angle outside (0, pi)
 
 
 def per_pair_predict_batch(model, x):

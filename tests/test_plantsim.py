@@ -202,11 +202,15 @@ class TestDatasetCsv:
         data = generate_dataset(d, NOISELESS, reps=2)
         path = tmp_path / "plant.csv"
         write_dataset_csv(path, data)
-        lines = path.read_text().splitlines()
-        lines[3] = lines[3].replace(lines[3].split(",")[-1], "bogus")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="row 4"):
-            read_dataset_csv(path)
+        written = path.read_text().splitlines()
+        # a value that is not a number, then a row missing its last output value
+        for edit, message in [(lambda row: row.replace(row.split(",")[-1], "bogus"), "row 4"),
+                              (lambda row: row.rsplit(",", 1)[0], "row 4 has 9 values, expected 10")]:
+            lines = list(written)
+            lines[3] = edit(lines[3])
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=message):
+                read_dataset_csv(path)
 
     def _written(self, tmp_path):
         d = maximin_lhs(4, 6, seed=4, restarts=3)
