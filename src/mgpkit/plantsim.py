@@ -159,7 +159,10 @@ def read_dataset_csv(path, specs: list = None) -> Dataset:
             raise ValueError(f"{path}: row {r_i} has {len(row)} values, expected {len(header)}")
         try:
             phys.append([float(v) for v in row[:l]])
-            reps_col.append(int(float(row[l])))
+            rep = float(row[l])
+            if not rep.is_integer():
+                raise ValueError(f"rep {row[l]!r} is not a whole number")
+            reps_col.append(int(rep))
             ys.append([float(v) for v in row[l + 1 :]])
         except ValueError as exc:
             raise ValueError(f"{path}: bad value at row {r_i}: {exc}") from exc

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,43 @@ class TestTopLevel:
 
     def test_missing_required_is_usage_error(self):
         assert run(["simulate"]) == EXIT_USAGE
+
+
+# run in a fresh interpreter, as every command is: this module itself loads scipy.spatial
+IMPORT_PROBE = """
+import json, sys
+from mgpkit.cli import main
+
+def step(argv=None):
+    code = main(argv) if argv else 0
+    loaded = [m for m in ("scipy.optimize", "scipy.special", "scipy.spatial") if m in sys.modules]
+    print("probe", json.dumps([code, sorted(loaded)]))
+
+step()
+step(["predict", "--model", "model.json", "--points", "d_unit.csv", "--out", "pred.csv"])
+step(["sensitivity", "--target", "model.json", "--r", "2", "--out", "s"])
+step(["design", "--n", "6", "--restarts", "2", "--out", "again"])
+step(["fit", "--data", "train.csv", "--restarts", "1", "--out", "again.json"])
+"""
+
+
+class TestImports:
+    def test_scipy_subpackages_load_where_used(self, workdir):
+        make_model(workdir)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                              text=True, env=env, check=True)
+        steps = [json.loads(line[6:]) for line in proc.stdout.splitlines()
+                 if line.startswith("probe ")]
+        # import, predict and sensitivity --target load none of the three
+        assert steps[:3] == [[EXIT_OK, []]] * 3
+        # scipy.spatial may load scipy.special, and scipy.optimize both
+        (design_code, after_design), (fit_code, after_fit) = steps[3:]
+        assert design_code == fit_code == EXIT_OK
+        assert "scipy.spatial" in after_design and "scipy.optimize" not in after_design
+        assert "scipy.optimize" in after_fit
 
 
 class TestDesign:
@@ -257,11 +298,18 @@ class TestPredict:
     def test_corrupt_model_is_data_error(self, workdir, capsys):
         bad = workdir / "bad.json"
         unit, _ = make_design(workdir, n=4, out="pts")
+        # a JSON true where a number belongs: once read as nugget 1.0, and as a
+        # reps count that crashed with a TypeError
+        doc = json.loads(make_model(workdir).read_text())
+        nugget_true = dict(doc, params=dict(doc["params"], nugget=True))
+        reps_true = dict(doc, training=dict(doc["training"], reps=True))
         # an unknown version, a known version with no other field, and a
         # document that is not an object: each error names what is wrong
         for text, message in [('{"version": "other"}', "unsupported model format: 'other'"),
                               ('{"version": "mgpkit-model-v1"}', "field 'specs' is missing"),
-                              ("[]", "field 'version' is missing")]:
+                              ("[]", "field 'version' is missing"),
+                              (json.dumps(nugget_true), "field 'nugget' is missing or not a Real"),
+                              (json.dumps(reps_true), "field 'reps' is missing or not a int")]:
             bad.write_text(text)
             capsys.readouterr()
             assert run(["predict", "--model", str(bad), "--points", str(unit)]) == EXIT_DATA

@@ -203,9 +203,12 @@ class TestDatasetCsv:
         path = tmp_path / "plant.csv"
         write_dataset_csv(path, data)
         written = path.read_text().splitlines()
-        # a value that is not a number, then a row missing its last output value
+        # a value that is not a number, a row missing its last output value, and
+        # a rep that is not a whole number (once read as rep 0)
         for edit, message in [(lambda row: row.replace(row.split(",")[-1], "bogus"), "row 4"),
-                              (lambda row: row.rsplit(",", 1)[0], "row 4 has 9 values, expected 10")]:
+                              (lambda row: row.rsplit(",", 1)[0], "row 4 has 9 values, expected 10"),
+                              (lambda row: row.replace(",0,", ",0.4,"),
+                               "row 4: rep '0.4' is not a whole number")]:
             lines = list(written)
             lines[3] = edit(lines[3])
             path.write_text("\n".join(lines) + "\n")
