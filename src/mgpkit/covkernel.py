@@ -8,6 +8,7 @@ exp(-sum_k phi_k * d_k^2), so larger phi means faster-decaying correlation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky, LinAlgError
@@ -86,65 +87,51 @@ class MarginalSds:
         object.__setattr__(self, "sigma", s)
 
 
-def _sphere_rows(angles: np.ndarray, k: int) -> np.ndarray:
-    """E with T = E E': row 1 is (1, 0, ..., 0); for r >= 2 the entries are
-    cos/sin products of the row's angles, so every row has unit length."""
-    e = np.zeros((k, k))
-    e[0, 0] = 1.0
-    idx = 0
-    for r in range(1, k):
-        row_angles = angles[idx : idx + r]
-        idx += r
-        sin_prod = 1.0
-        for s in range(r):
-            e[r, s] = np.cos(row_angles[s]) * sin_prod
-            sin_prod *= np.sin(row_angles[s])
-        e[r, r] = sin_prod
-    return e
-
-
 def angles_to_corr(omega: CrossCorrAngles) -> CrossCorrMatrix:
     """Build T = E E' where row r of E lies on the unit sphere.
 
     T is positive definite with unit diagonal for any valid angle vector.
     """
-    e = _sphere_rows(omega.angles, omega.k)
-    return CrossCorrMatrix(_unit_diag(e @ e.T))
+    return CrossCorrMatrix(corr_and_angle_grads(omega.angles, omega.k)[0])
 
 
 def corr_and_angle_grads(angles: np.ndarray, k: int) -> tuple:
     """T as a raw array and dT/d(omega_p) for each angle p, stacked (m x K x K).
 
-    Differentiating row r of E by its angle omega at position s multiplies
-    the entries after position s by cot(omega) and turns
-    E[r, s] = cos(omega) * prod sin into -sin(omega) * prod sin; so
-    dT = dE E' + E dE' is nonzero in row and column r only.
+    Row 1 of E is (1, 0, ..., 0); for r >= 2 its entries are cos/sin products
+    of the row's angles, so every row has unit length.  Differentiating row r
+    by its angle omega at position s multiplies the entries after position s
+    by cot(omega) and turns E[r, s] = cos(omega) * prod sin into
+    -sin(omega) * prod sin; so dT = dE E' + E dE' is nonzero in row and
+    column r only.  The products are of floats, which round as arrays do.
     """
     if k == 1:  # T is [[1]] and there are no angles
         return np.ones((1, 1)), np.zeros((0, 1, 1))
-    e = _sphere_rows(angles, k)
-    grads = np.zeros((n_angles(k), k, k))
-    p = 0
+    cos_a, sin_a = np.cos(angles).tolist(), np.sin(angles).tolist()
+    e, de, rows = [[1.0] + [0.0] * (k - 1)], [], []  # E; per angle, row r of dE, and r
     for r in range(1, k):
-        sin_prod = 1.0
+        row, before, sin_prod = [], [], 1.0
+        for c, s in zip(cos_a[len(de) : len(de) + r], sin_a[len(de) : len(de) + r]):
+            row.append(c * sin_prod)
+            before.append(sin_prod)
+            sin_prod *= s
+        e.append(row + [sin_prod] + [0.0] * (k - 1 - r))
         for s in range(r):
-            a = angles[p]
-            de = np.zeros(k)
-            de[s] = -np.sin(a) * sin_prod
-            de[s + 1 : r + 1] = e[r, s + 1 : r + 1] * (np.cos(a) / np.sin(a))
-            sin_prod *= np.sin(a)
-            col = e @ de
-            col[r] = 0.0  # T keeps its unit diagonal
-            grads[p, r, :] = col
-            grads[p, :, r] = col
-            p += 1
-    return _unit_diag(e @ e.T), grads
-
-
-def _unit_diag(t: np.ndarray) -> np.ndarray:
+            p = len(de)
+            cot = cos_a[p] / sin_a[p]
+            de.append([0.0] * s + [-sin_a[p] * before[s]] + [x * cot for x in e[r][s + 1 :]])
+            rows.append(r)
+    e = np.array(e)
+    cols = np.matmul(e, np.array(de)[:, :, None])[:, :, 0]  # E dE_r' per angle, one product each
+    grads = np.zeros((len(rows), k, k))
+    for grad, r, col in zip(grads, rows, cols):
+        col[r] = 0.0  # T keeps its unit diagonal
+        grad[r] = col
+        grad[:, r] = col
+    t = e @ e.T
     t = (t + t.T) / 2.0
-    np.fill_diagonal(t, 1.0)
-    return t
+    t.flat[:: k + 1] = 1.0
+    return t, grads
 
 
 def corr_to_angles(t: CrossCorrMatrix) -> CrossCorrAngles:
@@ -186,8 +173,8 @@ def kernels_from_sq_diffs(d2: np.ndarray, harm: np.ndarray, normalizer: np.ndarr
     (:func:`pair_constants`) over ``d2``, squared differences as (n_a n_b x l):
     G x (n_a n_b) kernels from one matrix product and one exp.  A row's bits
     depend on G (GEMV for G = 1, else GEMM): assemblies that must agree group alike."""
-    e = harm @ d2.T
-    np.exp(np.negative(e, out=e), out=e)
+    e = np.negative(harm) @ d2.T  # the product of -H: negation is exact
+    np.exp(e, out=e)
     return np.multiply(normalizer[:, None], e, out=e)
 
 
@@ -234,7 +221,7 @@ def mean_normalizer(phi_i: np.ndarray, phi_j: np.ndarray):
     prod_k [AM(phi_k) * AM(1/phi_k)]^(-1/4), 1 when phi_i == phi_j; per-pair
     rows (P x l) give one normalizer per pair."""
     pi, pj = np.asarray(phi_i), np.asarray(phi_j)
-    return 1.0 / np.prod(((pi + pj) / 2.0 * (1.0 / pi + 1.0 / pj) / 2.0) ** 0.25, axis=-1)
+    return 1.0 / (((pi + pj) / 2.0 * (1.0 / pi + 1.0 / pj) / 2.0) ** 0.25).prod(axis=-1)
 
 
 def design_of(xs: list) -> list:
@@ -244,44 +231,65 @@ def design_of(xs: list) -> list:
 
 def pair_constants(sigma, phi, t, ii, jj):
     """Per output pair (ii[p], jj[p]) of sigma (K), phi (K x l) and T: (φ_i, φ_j)
-    as a P x 2 x l array, H, the normalizer, sigma_i sigma_j and sigma_i sigma_j T_ij."""
-    phi_ends = np.stack([phi[ii], phi[jj]], axis=1)
-    pi, pj = phi_ends[:, 0], phi_ends[:, 1]
+    as a 2 x P x l array, H, the normalizer, sigma_i sigma_j and sigma_i sigma_j T_ij."""
+    phi_ends = phi[np.array((ii, jj))]
+    pi, pj = phi_ends
     s = sigma[ii] * sigma[jj]
     return phi_ends, harmonic_precisions(pi, pj), mean_normalizer(pi, pj), s, s * t[ii, jj]
 
 
+def _corner_view(c: np.ndarray, shape: tuple, mirrored: bool = False) -> np.ndarray:
+    """A view of the square C-ordered ``c`` by block corner: ``v[x, y]`` is
+    c[x:x+p, y:y+q] for ``shape`` (p, q), or, ``mirrored``, c[y:y+q, x:x+p].T."""
+    n, (p, q), strides = len(c), shape, c.strides[::-1] if mirrored else c.strides
+    return np.ndarray((n - p + 1, n - q + 1, p, q), c.dtype, c, 0, strides * 2)
+
+
 class OutputPairs:
-    """The pairs i <= j of K point sets, row by row, each with its block (rows,
-    cols) of the stacked covariance, in groups on the same two point sets
-    (:func:`design_of`): (pair indices, squared differences as (n_a n_b x l))."""
+    """The pairs i <= j of K point sets, row by row, in groups on the same two
+    point sets (:func:`design_of`): (pair indices, squared differences as
+    (n_a n_b x l), and the rows (G x n_a) and columns (G x n_b) of the
+    group's blocks of the stacked covariance)."""
 
     def __init__(self, xs: list):
         self.ii, self.jj = np.triu_indices(len(xs))
         o = np.concatenate([[0], np.cumsum([len(x) for x in xs])])
         self.size = o[-1]
-        self.blocks = [(slice(o[i], o[i + 1]), slice(o[j], o[j + 1]))
-                       for i, j in zip(self.ii, self.jj)]
         design, members = design_of(xs), {}
         for p, (i, j) in enumerate(zip(self.ii, self.jj)):
             members.setdefault((design[i], design[j]), []).append(p)
-        self.groups = [(np.array(ps), sq_diffs(xs[a], xs[b]).reshape(-1, xs[a].shape[1]))
+        # consecutive pairs, as when all outputs share one design, index as a slice: no copies
+        self.groups = [(slice(ps[0], ps[-1] + 1) if ps[-1] - ps[0] == len(ps) - 1 else np.array(ps),
+                        sq_diffs(xs[a], xs[b]).reshape(-1, xs[a].shape[1]),
+                        o[self.ii[ps], None] + np.arange(len(xs[a])),
+                        o[self.jj[ps], None] + np.arange(len(xs[b])))
                        for (a, b), ps in members.items()]
 
     def cov(self, consts) -> tuple:
         """C from the :func:`pair_constants` of these pairs, and each group's
         kernels (G x n_a n_b) from one :func:`kernels_from_sq_diffs` call."""
         _, harm, norm, _, st = consts
-        c = np.empty((self.size, self.size))
-        kernels = [kernels_from_sq_diffs(d2, harm[ps], norm[ps]) for ps, d2 in self.groups]
-        for (ps, _), e in zip(self.groups, kernels):
-            for p, e_p in zip(ps, e):
-                rows, cols = self.blocks[p]
-                block = c[rows, cols]
-                np.multiply(st[p], e_p.reshape(block.shape), out=block)
-                if rows != cols:
-                    c[cols, rows] = block.T
-        return c, kernels
+        n = self.size
+        kernels = [kernels_from_sq_diffs(d2, harm[ps], norm[ps]) for ps, d2, *_ in self.groups]
+        if len(self.ii) == 1:  # K=1: C is the one pair's block
+            return (st[0] * kernels[0]).reshape(n, n), kernels
+        # C is Fortran-ordered for dpotrf to factor in place: in its transpose c_t each
+        # block goes transposed below C's diagonal, then as it is above (over a diagonal one)
+        c_t = np.empty((n, n))
+        for (ps, _, rows, cols), e in zip(self.groups, kernels):
+            corners, shape = (rows[:, 0], cols[:, 0]), (rows.shape[1], cols.shape[1])
+            blocks = (st[ps, None] * e).reshape(-1, *shape)
+            _corner_view(c_t, shape)[corners] = blocks
+            _corner_view(c_t, shape, mirrored=True)[corners] = blocks
+        return c_t.T, kernels
+
+    @cached_property
+    def lower_index(self) -> list:
+        """Per group, the flat index of (min(r, c), max(r, c)) in an N x N matrix for
+        each entry (r, c) of its blocks in kernel order (G x n_a n_b, int32; built at first use)."""
+        return [(np.minimum(r[:, :, None], c[:, None, :]) * self.size
+                 + np.maximum(r[:, :, None], c[:, None, :])).astype(np.int32).reshape(len(r), -1)
+                for _, _, r, c in self.groups]
 
 
 def cov_matrix(xs: list[np.ndarray], sigma: MarginalSds, phi: RoughnessParams,

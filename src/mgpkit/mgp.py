@@ -14,28 +14,15 @@ from dataclasses import dataclass, field, replace
 from numbers import Real
 
 import numpy as np
-from scipy.linalg import block_diag, cholesky, solve_triangular, LinAlgError
+from scipy.linalg import block_diag, solve_triangular, LinAlgError
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dpotri, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtri
 
-from .covkernel import (
-    CrossCorrAngles,
-    CrossCorrMatrix,
-    MarginalSds,
-    RoughnessParams,
-    angles_to_corr,
-    corr_and_angle_grads,
-    corr_to_angles,
-    # not called here; kept as mgp.cov_matrix and mgp.cross_cov_block, which span tracers wrap
-    cov_matrix,
-    cross_cov_block,
-    design_of,
-    kernels_from_sq_diffs,
-    n_angles,
-    OutputPairs,
-    pair_constants,
-    sq_diffs,
-)
+from .covkernel import (CrossCorrAngles, CrossCorrMatrix, MarginalSds, OutputPairs, RoughnessParams,
+                        angles_to_corr, corr_and_angle_grads, corr_to_angles, design_of,
+                        kernels_from_sq_diffs, n_angles, pair_constants, sq_diffs)
+# not called here; kept as mgp.cov_matrix and mgp.cross_cov_block, which span tracers wrap
+from .covkernel import cov_matrix, cross_cov_block  # noqa: F401
 from .design import InputSpec
 
 MODEL_FORMAT_VERSION = "mgpkit-model-v1"
@@ -187,26 +174,41 @@ class MgpParams:
 # Likelihood pieces
 
 
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``a`` (LAPACK dpotrf; in place if ``a`` is
+    Fortran-ordered), its upper triangle zero.  LinAlgError if ``a`` is not
+    positive definite or the factor not finite: dpotrf passes NaN through."""
+    c, info = dpotrf(a, lower=1, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    if info > 0 or not np.isfinite(c.trace()):
+        raise LinAlgError("matrix is not positive definite or not finite")
+    return c
+
+
 def _factor_collapsed(c: np.ndarray, reps: int, nugget: float):
     """Lower Cholesky factor of Cz = reps*c + nugget*I and the jitter it needed.
 
-    ``c`` is overwritten with Cz.  Jitter * I is added, from 1e-10 up to 1e-6
+    ``c`` is left as it is.  Jitter * I is added, from 1e-10 up to 1e-6
     times the mean diagonal of Cz, only after a factorization has failed.
     """
-    cz, diag = c, slice(None, None, c.shape[0] + 1)
-    cz *= reps
-    cz.flat[diag] += nugget
+    def factor(jitter):  # each Cz is a new Fortran-ordered array, which dpotrf overwrites
+        cz = np.multiply(c, reps, order="F")
+        diag = cz.ravel(order="K")[:: len(c) + 1]  # a view, as cz is contiguous
+        diag += nugget
+        if jitter:
+            diag += jitter
+        return cholesky(cz), jitter
+
     try:
-        return cholesky(cz, lower=True), 0.0
+        return factor(0.0)
     except LinAlgError:
         pass
-    scale = float(np.mean(np.diag(cz)))
+    scale = float(np.mean(np.diag(c) * reps + nugget))
     jitter = 1e-10 * scale
     while 0.0 < jitter <= 1e-6 * scale:  # no jitter rescues a diagonal mean <= 0
-        jittered = cz.copy()
-        jittered.flat[diag] += jitter
         try:
-            return cholesky(jittered, lower=True), jitter
+            return factor(jitter)
         except LinAlgError:
             jitter *= 10.0
     raise NonPositiveDefiniteError(
@@ -368,7 +370,8 @@ class _LoglikEngine:
     Williams 2006, §5.4.1), plus the nugget's replicate-SSE term, through the
     hypersphere map of the angles and the log/logit packing.  The pairs'
     constants and gradient algebra are arrays over all P = K(K+1)/2 pairs;
-    each group of pairs takes one product for its kernels, one for its sums.
+    each group of pairs takes one product for its kernels, one for its sums,
+    and one gather of Cz⁻¹ from dpotri's triangle, which is never symmetrized.
     """
 
     def __init__(self, data: Dataset, basis: RegressionBasis):
@@ -381,9 +384,10 @@ class _LoglikEngine:
         self.sse = data.within_point_sse()
         self.pairs = OutputPairs(data.x)
         self.ii, self.jj = self.pairs.ii, self.pairs.jj
-        # outputs i and j of each pair, in pair order: each output's gradient
-        # adds the pairs' terms in this order
-        self.ends = np.column_stack([self.ii, self.jj]).ravel()
+        # per output, the rows e*P + p of its K+1 terms (end e of pair p), in pair
+        # order with end i first: each output's gradient adds its terms in this order
+        order = np.argsort(np.column_stack([self.ii, self.jj]).ravel(), kind="stable")
+        self.ends = (order % 2 * len(self.ii) + order // 2).reshape(self.k, self.k + 1)
         self.cross = self.ii < self.jj
         # ½M, doubled for the blocks off the diagonal, which C holds twice
         self.half = 0.5 * self.reps * np.where(self.cross, 2.0, 1.0)
@@ -404,11 +408,11 @@ class _LoglikEngine:
         a, info = dpotrs(chol_l, resid, lower=1)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrs")
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
+        logdet = 2.0 * float(np.log(chol_l.diagonal()).sum())
         ll = -0.5 * (self.n_total * np.log(2.0 * np.pi) + logdet + m * float(resid @ a))
         if m > 1:
             ll -= 0.5 * ((self.n_total - self.n_points) * np.log(nugget) + self.sse / nugget)
-        return ll - lam * float(np.sum(np.abs(beta))), a
+        return ll - lam * float(np.abs(beta).sum()), a
 
     def factor(self, theta):
         """Lower Cholesky factor of Cz at θ and the jitter it needed."""
@@ -451,47 +455,44 @@ class _LoglikEngine:
         chol_l, _ = _factor_collapsed(c, m, nugget)
         ll, a = self._loglik(chol_l, beta, nugget, lam)
 
-        # dpotri fills the lower triangle; the factor's upper triangle is zero
+        # dpotri fills the lower triangle of Cz⁻¹, read at (max(r, c), min(r, c))
         inv, info = dpotri(chol_l, lower=1, overwrite_c=1)
         if info != 0:
             raise NonPositiveDefiniteError(f"inverse from the Cholesky factor failed (info {info})")
-        cz_inv = inv + inv.T
-        cz_inv.flat[:: self.n_points + 1] *= 0.5
-        w = np.outer(a, a)  # ∂ℓ/∂Cz, doubled: M a a' − Cz⁻¹
-        w *= m
-        w -= cz_inv
-        # per pair: Σ W∘E over the block, and the same weighted by each D²_d,
-        # the latter from one (G × n_a n_b) @ (n_a n_b × l) product per group
+        inv_t = inv.T  # C-ordered, as dpotri returns a Fortran-ordered array
+        # per pair: Σ W∘E over its block of W = M a a' − Cz⁻¹ (∂ℓ/∂Cz, doubled), and the
+        # same weighted by each D²_d, from one (G × n_a n_b) @ (n_a n_b × l) product per group
         q, r = np.empty(len(self.ii)), np.empty((len(self.ii), l))
-        for (ps, d2), e in zip(self.pairs.groups, kernels):
-            we = np.empty_like(e)
-            for w_p, e_p, p in zip(we, e, ps):
-                block = w[self.pairs.blocks[p]]
-                np.multiply(block, e_p.reshape(block.shape), out=w_p.reshape(block.shape))
+        for (ps, d2, rows, cols), e, tri in zip(self.pairs.groups, kernels, self.pairs.lower_index):
+            we = np.einsum("gi,gj->gij", a[rows], a[cols]).reshape(e.shape)  # a_r a_c
+            we *= m
+            we -= inv_t.take(tri)
+            we *= e
             q[ps] = we.sum(axis=1)
             r[ps] = we @ d2
         s0 = st * q  # Σ W∘C
         s_d = st[:, None] * r
         # each pair's terms for its outputs i and j: σ (column 0), then φ by
         # ∂log C_ij/∂log φ_id = (¼ − ½φ_id/(φ_id+φ_jd)) − h_d φ_jd/(φ_id+φ_jd) D²_d
-        den = (phi_ends[:, 0] + phi_ends[:, 1])[:, None]
-        terms = np.empty((len(self.ii), 2, 1 + l))
-        terms[:, :, 0] = (self.half * s0)[:, None]
-        np.multiply(self.half[:, None, None],
-                    (0.25 - 0.5 * phi_ends / den) * s0[:, None, None]
-                    - harm[:, None] * phi_ends[:, ::-1] / den * s_d[:, None],
+        den = phi_ends[0] + phi_ends[1]
+        terms = np.empty((2, len(self.ii), 1 + l))
+        terms[:, :, 0] = self.half * s0
+        np.multiply(self.half[:, None],
+                    (0.25 - 0.5 * phi_ends / den) * s0[:, None]
+                    - harm * phi_ends[::-1] / den * s_d,
                     out=terms[:, :, 1:])
-        g = np.zeros((k, 1 + l))
-        np.add.at(g, self.ends, terms.reshape(-1, 1 + l))  # in order, repeats accumulate
-        g_t = np.zeros((k, k))
-        g_t[self.ii, self.jj] = np.where(self.cross, m * s * q, 0.0)  # T's diagonal is fixed
-        g_omega = np.einsum("ij,pij->p", g_t, dt_domega)
-        from scipy.special import expit
-        u = theta[k + k * l : k + k * l + n_angles(k)]
-        ex = expit(u)
-        g_u = g_omega * np.pi * ex * (1.0 - ex)
+        g = terms.reshape(-1, 1 + l)[self.ends].sum(axis=1)  # each output's terms, in order
+        g_u = np.empty(0)  # the angles' terms: none at K=1
+        if k > 1:
+            g_t = np.zeros((k, k))
+            g_t[self.ii, self.jj] = np.where(self.cross, m * s * q, 0.0)  # T's diagonal is fixed
+            g_omega = np.einsum("ij,pij->p", g_t, dt_domega)
+            from scipy.special import expit
+            ex = expit(theta[k + k * l : -1])
+            g_u = g_omega * np.pi * ex * (1.0 - ex)
         n_extra = self.n_total - self.n_points
-        g_nugget = 0.5 * float(np.trace(w)) - 0.5 * (n_extra / nugget - self.sse / nugget ** 2)
+        trace_w = float((a * a * m - inv.diagonal()).sum())
+        g_nugget = 0.5 * trace_w - 0.5 * (n_extra / nugget - self.sse / nugget ** 2)
         return ll, np.concatenate([g[:, 0], g[:, 1:].ravel(), g_u, [nugget * g_nugget]])
 
 
@@ -846,11 +847,22 @@ def model_to_json(model: FittedModel) -> str:
 
 
 def _field(doc, key, kind=list):
-    """``doc[key]`` of a model file if ``doc`` is an object and it is a ``kind``."""
+    """``doc[key]`` of a model file if ``doc`` is an object and it is a ``kind``;
+    a Real must be finite."""
     value = doc.get(key) if isinstance(doc, dict) else None
     if isinstance(value, kind) and not isinstance(value, bool):  # a JSON true is no number
+        if kind is Real:
+            _numbers(value, key)
         return value
     raise ValueError(f"model file: field {key!r} is missing or not a {kind.__name__}")
+
+
+def _numbers(values, key: str) -> np.ndarray:
+    """Field ``key`` of a model file as floats, all finite (json reads NaN and Infinity)."""
+    a = np.array(values, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"model file: field {key!r} holds a number that is not finite")
+    return a
 
 
 def model_from_json(text: str) -> FittedModel:
@@ -862,24 +874,23 @@ def model_from_json(text: str) -> FittedModel:
     tr = _field(doc, "training", dict)
     data = Dataset(
         specs,
-        [np.array(xi, dtype=float) for xi in _field(tr, "x")],
-        [np.array(yi, dtype=float) for yi in _field(tr, "y")],
+        [_numbers(xi, "x") for xi in _field(tr, "x")],
+        [_numbers(yi, "y") for yi in _field(tr, "y")],
         _field(tr, "reps", int),
         _field(doc, "output_names"),
     )
     pp = _field(doc, "params", dict)
-    k = data.k
     params = MgpParams(
-        beta=[np.array(b, dtype=float) for b in _field(pp, "beta")],
-        sigma=MarginalSds(np.array(_field(pp, "sigma"), dtype=float)),
-        phi=RoughnessParams(np.array(_field(pp, "phi"), dtype=float)),
-        omega=CrossCorrAngles(np.array(_field(pp, "omega"), dtype=float), k),
+        beta=[_numbers(b, "beta") for b in _field(pp, "beta")],
+        sigma=MarginalSds(_numbers(_field(pp, "sigma"), "sigma")),
+        phi=RoughnessParams(_numbers(_field(pp, "phi"), "phi")),
+        omega=CrossCorrAngles(_numbers(_field(pp, "omega"), "omega"), data.k),
         nugget=float(_field(pp, "nugget", Real)),
         lam=float(_field(pp, "lambda", Real)),
     )
     model = _LoglikEngine(data, RegressionBasis(_field(doc, "basis", str))).condition(params)
     std = _field(doc, "standardization", dict)
-    model.y_mean = np.array(_field(std, "y_mean"), dtype=float)
-    model.y_scale = np.array(_field(std, "y_scale"), dtype=float)
+    model.y_mean = _numbers(_field(std, "y_mean"), "y_mean")
+    model.y_scale = _numbers(_field(std, "y_scale"), "y_scale")
     model.diagnostics = doc.get("diagnostics", {})
     return model

@@ -303,13 +303,28 @@ class TestPredict:
         doc = json.loads(make_model(workdir).read_text())
         nugget_true = dict(doc, params=dict(doc["params"], nugget=True))
         reps_true = dict(doc, training=dict(doc["training"], reps=True))
+        # json reads NaN and Infinity: a NaN y_scale once gave NaN predictions
+        # with exit 0, a NaN lambda loaded, and a NaN nugget failed naming no field
+        y_scale_nan = dict(doc, standardization=dict(doc["standardization"],
+                                                     y_scale=[float("nan")] * 3))
+        x = [list(map(list, xi)) for xi in doc["training"]["x"]]
+        x[0][1][2] = float("-inf")
+        non_finite = [(dict(doc, params=dict(doc["params"], **{name: value})), name)
+                      for name, value in [("nugget", float("nan")), ("lambda", float("nan")),
+                                          ("sigma", [1.0, float("inf"), 1.0])]]
+        non_finite += [(y_scale_nan, "y_scale"),
+                       (dict(doc, training=dict(doc["training"], x=x)), "x"),
+                       (dict(doc, specs=[dict(doc["specs"][0], upper=float("inf"))]
+                             + doc["specs"][1:]), "upper")]
         # an unknown version, a known version with no other field, and a
         # document that is not an object: each error names what is wrong
         for text, message in [('{"version": "other"}', "unsupported model format: 'other'"),
                               ('{"version": "mgpkit-model-v1"}', "field 'specs' is missing"),
                               ("[]", "field 'version' is missing"),
                               (json.dumps(nugget_true), "field 'nugget' is missing or not a Real"),
-                              (json.dumps(reps_true), "field 'reps' is missing or not a int")]:
+                              (json.dumps(reps_true), "field 'reps' is missing or not a int")] + [
+                (json.dumps(bad_doc), f"field {name!r} holds a number that is not finite")
+                for bad_doc, name in non_finite]:
             bad.write_text(text)
             capsys.readouterr()
             assert run(["predict", "--model", str(bad), "--points", str(unit)]) == EXIT_DATA

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, cholesky
 from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotri, dpotrs
+from scipy.special import expit
 
 from mgpkit.covkernel import (
     CrossCorrAngles,
@@ -14,6 +16,8 @@ from mgpkit.covkernel import (
     corr_and_angle_grads,
     cov_matrix,
     cross_cov_block,
+    harmonic_precisions,
+    mean_normalizer,
 )
 from mgpkit.design import InputSpec, lhs
 import mgpkit.covkernel
@@ -479,6 +483,107 @@ def params_at(theta, beta, data, lam):
                      CrossCorrAngles(omega, data.k), nugget, lam)
 
 
+def reference_corr_and_angle_grads(angles, k):
+    """T and dT/dω from per-angle loops over the sphere rows, sines and
+    cosines taken one angle at a time."""
+    if k == 1:
+        return np.ones((1, 1)), np.zeros((0, 1, 1))
+    e, p = np.zeros((k, k)), 0
+    e[0, 0] = 1.0
+    for r in range(1, k):
+        sin_prod = 1.0
+        for s in range(r):
+            e[r, s] = np.cos(angles[p + s]) * sin_prod
+            sin_prod *= np.sin(angles[p + s])
+        e[r, r] = sin_prod
+        p += r
+    grads, p = np.zeros((p, k, k)), 0
+    for r in range(1, k):
+        sin_prod = 1.0
+        for s in range(r):
+            a, de = angles[p], np.zeros(k)
+            de[s] = -np.sin(a) * sin_prod
+            de[s + 1 : r + 1] = e[r, s + 1 : r + 1] * (np.cos(a) / np.sin(a))
+            sin_prod *= np.sin(a)
+            col = e @ de
+            col[r] = 0.0
+            grads[p, r, :] = col
+            grads[p, :, r] = col
+            p += 1
+    t = e @ e.T
+    t = (t + t.T) / 2.0
+    np.fill_diagonal(t, 1.0)
+    return t, grads
+
+
+def reference_loglik_grad(engine, theta, beta, lam=0.0):
+    """(ℓ, ∇ℓ) of the engine's data from C and W = M a a' − Cz⁻¹ in full,
+    assembled and contracted block by block, each output's terms added by
+    np.add.at in pair order, and a factor from scipy's cholesky: the
+    reference for bit-equality of _LoglikEngine.loglik_grad."""
+    k, l, m, n = engine.k, engine.l, engine.reps, engine.n_points
+    ii, jj = engine.ii, engine.jj
+    sigma, phi, omega, nugget = _unpack(theta, k, l)
+    t, dt_domega = reference_corr_and_angle_grads(omega, k)
+    pi, pj = phi[ii], phi[jj]
+    harm, norm, s = harmonic_precisions(pi, pj), mean_normalizer(pi, pj), sigma[ii] * sigma[jj]
+    st = s * t[ii, jj]
+    offs = np.concatenate([[0], np.cumsum([len(x) for x in engine.data.x])])
+    blocks = [(slice(offs[i], offs[i + 1]), slice(offs[j], offs[j + 1])) for i, j in zip(ii, jj)]
+    c, kernels = np.empty((n, n)), []
+    for ps, d2, *_ in engine.pairs.groups:  # the engine's groups: a kernel's bits depend on G
+        e = harm[ps] @ d2.T
+        np.exp(np.negative(e, out=e), out=e)
+        kernels.append(norm[ps, None] * e)
+        for p, e_p in zip(np.arange(len(ii))[ps], kernels[-1]):
+            rows, cols = blocks[p]
+            c[rows, cols] = st[p] * e_p.reshape(c[rows, cols].shape)
+            if rows != cols:
+                c[cols, rows] = c[rows, cols].T
+    c *= m
+    c.flat[:: n + 1] += nugget
+    chol_l = cholesky(c, lower=True)
+    resid = engine.ybar - engine.f @ beta
+    a, _ = dpotrs(chol_l, resid, lower=1)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
+    ll = -0.5 * (engine.n_total * np.log(2.0 * np.pi) + logdet + m * float(resid @ a))
+    if m > 1:
+        ll -= 0.5 * ((engine.n_total - n) * np.log(nugget) + engine.sse / nugget)
+    ll -= lam * float(np.sum(np.abs(beta)))
+    inv, _ = dpotri(chol_l, lower=1)
+    cz_inv = inv + inv.T
+    cz_inv.flat[:: n + 1] *= 0.5
+    w = np.outer(a, a)
+    w *= m
+    w -= cz_inv
+    q, r = np.empty(len(ii)), np.empty((len(ii), l))
+    for (ps, d2, *_), e in zip(engine.pairs.groups, kernels):
+        we = np.empty_like(e)
+        for w_p, e_p, p in zip(we, e, np.arange(len(ii))[ps]):
+            block = w[blocks[p]]
+            np.multiply(block, e_p.reshape(block.shape), out=w_p.reshape(block.shape))
+        q[ps] = we.sum(axis=1)
+        r[ps] = we @ d2
+    s0, s_d = st * q, st[:, None] * r
+    phi_ends = np.stack([pi, pj], axis=1)
+    den = (pi + pj)[:, None]
+    half = 0.5 * m * np.where(ii < jj, 2.0, 1.0)
+    terms = np.empty((len(ii), 2, 1 + l))
+    terms[:, :, 0] = (half * s0)[:, None]
+    terms[:, :, 1:] = half[:, None, None] * (
+        (0.25 - 0.5 * phi_ends / den) * s0[:, None, None]
+        - harm[:, None] * phi_ends[:, ::-1] / den * s_d[:, None])
+    g = np.zeros((k, 1 + l))
+    np.add.at(g, np.column_stack([ii, jj]).ravel(), terms.reshape(-1, 1 + l))
+    g_t = np.zeros((k, k))
+    g_t[ii, jj] = np.where(ii < jj, m * s * q, 0.0)
+    ex = expit(theta[k + k * l : -1])
+    g_u = np.einsum("ij,pij->p", g_t, dt_domega) * np.pi * ex * (1.0 - ex)
+    n_extra = engine.n_total - n
+    g_nugget = 0.5 * float(np.trace(w)) - 0.5 * (n_extra / nugget - engine.sse / nugget ** 2)
+    return ll, np.concatenate([g[:, 0], g[:, 1:].ravel(), g_u, [nugget * g_nugget]])
+
+
 class TestLoglikEngine:
     def test_loglik_equals_penalized_loglik(self):
         rng = np.random.default_rng(22)
@@ -489,6 +594,32 @@ class TestLoglikEngine:
             ll, _ = engine.loglik_grad(theta, beta, 0.4)
             want = penalized_loglik(params_at(theta, beta, data, 0.4), data, basis)
             assert ll == want
+
+    def test_equals_the_block_by_block_reference(self):
+        # ℓ and ∇ℓ equal the reference's bit for bit: each pair's block of
+        # ∂ℓ/∂Cz read from dpotri's triangle, C filled without a per-pair
+        # loop, each output's terms summed in pair order, and dpotrf called
+        # directly change no floating-point operation and no order; also with
+        # φ at both bounds, the nugget at both bounds and λ > 0
+        rng = np.random.default_rng(30)
+        phi_bounds, nugget_bounds = mgpkit.mgp._LOG_PHI_BOUNDS, mgpkit.mgp._LOG_NUGGET_BOUNDS
+        cases = [(None, None, 0.0), (None, None, 0.4)]
+        cases += [(log_phi, None, 0.0) for log_phi in phi_bounds]
+        cases += [(None, log_nugget, 0.2) for log_nugget in nugget_bounds]
+        for data, basis in engine_cases():
+            engine = _LoglikEngine(data, basis)
+            k, l = data.k, data.l
+            for log_phi, log_nugget, lam in cases:
+                theta = random_theta(data, rng)
+                if log_phi is not None:
+                    theta[k : k + k * l] = log_phi
+                if log_nugget is not None:
+                    theta[-1] = log_nugget
+                beta = rng.normal(size=k * basis.width(l))
+                ll, grad = engine.loglik_grad(theta, beta, lam)
+                want_ll, want_grad = reference_loglik_grad(engine, theta, beta, lam)
+                assert ll == want_ll
+                assert np.array_equal(grad, want_grad)
 
     def test_covariance_equals_cov_matrix(self):
         # one covariance assembly: the engine's C is cov_matrix's bit for bit,
@@ -624,6 +755,40 @@ class TestLoglikEngine:
         with pytest.raises(NonPositiveDefiniteError):
             _fit_once(_LoglikEngine(k2, RegressionBasis("const")), 0.0, counts)
         assert counts["searches"] == 1  # the frozen-angle warm-up
+        assert counts["npd_penalties"] >= 1
+
+    def test_a_nan_kernel_is_a_factorization_failure(self, monkeypatch):
+        # dpotrf can return info 0 on a NaN and fill the factor with NaN; the
+        # factorization checks the factor's diagonal, so one NaN kernel entry
+        # that it reads makes loglik_grad, factor and condition raise, as an
+        # indefinite covariance does, and the search counts it as a penalty
+        kernels_ = mgpkit.covkernel.kernels_from_sq_diffs
+
+        def one_nan(d2, harm, norm):
+            e = kernels_(d2, harm, norm)
+            e[0, -1] = np.nan  # the first pair's last entry: in C's lower triangle
+            return e
+
+        monkeypatch.setattr(mgpkit.covkernel, "kernels_from_sq_diffs", one_nan)
+        rng = np.random.default_rng(32)
+        for data, basis in engine_cases():
+            if basis.kind != "const":
+                continue
+            engine = _LoglikEngine(data, basis)
+            theta, beta = random_theta(data, rng), np.zeros(data.k)
+            with pytest.raises(NonPositiveDefiniteError):
+                engine.loglik_grad(theta, beta)
+            with pytest.raises(NonPositiveDefiniteError):
+                engine.factor(theta)
+            with pytest.raises(NonPositiveDefiniteError):
+                engine.condition(params_at(theta, beta, data, 0.0))
+        x = lhs(10, 2, seed=6).points
+        k2 = Dataset(UNIT_SPECS_2D, [x, x], [np.sin(6 * x[:, 0]), np.cos(3 * x[:, 1])], 1,
+                     ["a", "b"])
+        counts = dict.fromkeys(_SEARCH_COUNTS, 0)
+        with pytest.raises(NonPositiveDefiniteError):
+            _fit_once(_LoglikEngine(k2, RegressionBasis("const")), 0.0, counts)
+        assert counts["searches"] == 1  # the frozen-angle warm-up, then the β step raises
         assert counts["npd_penalties"] >= 1
 
     def test_search_uses_the_exact_gradient(self, monkeypatch):
