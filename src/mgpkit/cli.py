@@ -211,7 +211,16 @@ def cmd_predict(args) -> int:
     with open(args.out, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.write(format_csv_rows(np.hstack([scale_design(design, specs), bands])))
-    _log("predict", model=args.model, points=args.points, rows=design.n, out=args.out)
+    # extrapolation, per output: sds over 0.9 of the prior sd, points outside the range of
+    # the output's training design in any input, and sds of 0 (variances clipped at 0)
+    prior_sd = model.y_scale * np.sqrt(model.params.sigma.sigma ** 2 + model.params.nugget)
+    outside = np.column_stack([np.any((design.points < xi.min(axis=0))
+                                      | (design.points > xi.max(axis=0)), axis=1)
+                               for xi in model.data.x])
+    flags = {"sd_near_prior": sd > 0.9 * prior_sd, "outside_design": outside, "sd_zero": sd == 0.0}
+    _log("predict", model=args.model, points=args.points, rows=design.n, out=args.out,
+         **{key: ",".join(f"{nm}:{n}" for nm, n in zip(names, f.sum(axis=0)))
+            for key, f in flags.items()})
     return EXIT_OK
 
 
@@ -257,7 +266,7 @@ def cmd_sensitivity(args) -> int:
         names = list(model.data.output_names)
 
         def f(u):
-            return predict_batch(model, u)[0]
+            return predict_batch(model, u, sd=False)[0]
 
     trajectories = morris_trajectories(args.r, len(specs), delta=args.delta, seed=args.seed)
     result = elementary_effects(f, trajectories, specs, output_names=names)

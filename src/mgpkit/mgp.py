@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -423,16 +424,13 @@ class _LoglikEngine:
     def condition(self, params: MgpParams, factor=None) -> FittedModel:
         """Model conditioned on the engine's data at ``params``: one factor L of
         Cz (``factor``, a (factor, jitter) pair, if the caller has it) gives L,
-        its inverse L⁻¹, α = M Cz⁻¹ (ȳ - Fβ) and ``diagnostics["loglik"]``."""
+        α = M Cz⁻¹ (ȳ - Fβ) and ``diagnostics["loglik"]``; L⁻¹ waits for the
+        first variance (:attr:`FittedModel.chol_inv`)."""
         if factor is None:
             c = self._c(params.sigma.sigma, params.phi.phi, params.t.t)[0]
             factor = _factor_collapsed(c, self.reps, params.nugget)
         chol_l, jitter = factor
         ll, a = self._loglik(chol_l, params.beta_concat(), params.nugget, params.lam)
-        # dtrtri reads and writes the lower triangle; the upper one stays zero
-        chol_inv, info = dtrtri(chol_l, lower=1)
-        if info != 0:
-            raise NonPositiveDefiniteError(f"inverse of the Cholesky factor failed (info {info})")
         return FittedModel(
             params=params,
             data=self.data,
@@ -440,7 +438,6 @@ class _LoglikEngine:
             y_mean=np.zeros(self.k),
             y_scale=np.ones(self.k),
             chol=chol_l,
-            chol_inv=chol_inv,
             alpha=self.reps * a,
             diagnostics={"loglik": float(ll), "jitter": jitter},
         )
@@ -499,9 +496,9 @@ class _LoglikEngine:
 @dataclass
 class FittedModel:
     """A model conditioned on its training data by :meth:`_LoglikEngine.condition`:
-    parameters plus cached training algebra (the factor L of Cz, L⁻¹ for the
-    predictive variances, and α).  Fitting and loading then set its
-    standardization and diagnostics; the model JSON holds neither L nor L⁻¹.
+    parameters plus cached training algebra (the factor L of Cz and α; L⁻¹ for
+    the predictive variances once one is asked for).  Fitting and loading then
+    set its standardization and diagnostics; the model JSON holds neither L nor L⁻¹.
     Parameters are in standardized output units; predictions are mapped back
     to original units through (y_mean, y_scale).
     """
@@ -512,13 +509,22 @@ class FittedModel:
     y_mean: np.ndarray
     y_scale: np.ndarray
     chol: np.ndarray = field(repr=False)  # lower factor L of Cz = M*C + nugget*I
-    chol_inv: np.ndarray = field(repr=False)  # L^-1, lower triangular
     alpha: np.ndarray = field(repr=False)  # M * Cz^-1 (ybar - F beta)
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def k(self) -> int:
         return self.data.k
+
+    @cached_property
+    def chol_inv(self) -> np.ndarray:
+        """L⁻¹, lower triangular, from LAPACK dtrtri at its first read: fits,
+        loads and means-only predictions never form it."""
+        # dtrtri reads and writes the lower triangle; the upper one stays zero
+        chol_inv, info = dtrtri(self.chol, lower=1)
+        if info != 0:
+            raise NonPositiveDefiniteError(f"inverse of the Cholesky factor failed (info {info})")
+        return chol_inv
 
     def beta_original(self) -> list:
         """Trend coefficients mapped back to original output units."""
@@ -756,15 +762,17 @@ def predict(model: FittedModel, x0: np.ndarray) -> Prediction:
     return Prediction(mean=mean[0], sd=sd[0])
 
 
-def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
-    """Means and sds at many points: returns (n x K, n x K) arrays.
+def predict_batch(model: FittedModel, x: np.ndarray, sd: bool = True) -> tuple:
+    """Means and sds at many points: (n x K, n x K) arrays; the sds are None
+    when ``sd`` is false, which skips the variance algebra.
 
     Rows go in blocks of b: row o*b + i of the cross-covariance r pairs output
     o at query row i with every training point, so one triangular product
     L⁻¹ r' gives every variance of the block, through ‖L⁻¹ r_i‖² = r_i' Cz⁻¹ r_i.
     Each distinct training design (:attr:`Dataset.design_of`) gets one
-    squared-difference tensor per block, which fills the K blocks of every
-    output on it.  Non-finite query points raise ValueError.
+    squared-difference tensor per block, and outputs o and j on one design
+    share the kernel of (o, j) and (j, o), whose constants are bit for bit
+    the same.  Non-finite query points raise ValueError.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
@@ -778,22 +786,28 @@ def predict_batch(model: FittedModel, x: np.ndarray) -> tuple:
     _, harm, norm, _, st = pair_constants(sigma, p.phi.phi, p.t.t, oo, jj)
     beta = np.column_stack(p.beta)
     means = np.empty((x.shape[0], k))
-    sds = np.empty((x.shape[0], k))
+    sds = np.empty((x.shape[0], k)) if sd else None
     for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
         xb = x[lo : lo + PREDICT_BLOCK_ROWS]
         b = len(xb)
         r = np.empty((k * b, offs[-1]))
         d2 = {q: sq_diffs(xb, data.x[q]).reshape(-1, data.l) for q in set(design)}
-        for j in range(k):
-            for o in range(k):
-                oj = o * k + j  # one pair per product, as cross_cov_block makes it
-                e = kernels_from_sq_diffs(d2[design[j]], harm[oj : oj + 1], norm[oj : oj + 1])
-                r[o * b : (o + 1) * b, offs[j] : offs[j + 1]] = st[oj] * e.reshape(b, -1)
+        for oj, (o, j) in enumerate(zip(oo.tolist(), jj.tolist())):
+            if j < o and design[j] == design[o]:
+                continue  # written with (j, o)
+            # one pair per product, as cross_cov_block makes it; on one design
+            # it is also the block of (j, o): {row output: column output}
+            e = kernels_from_sq_diffs(d2[design[j]], harm[oj : oj + 1], norm[oj : oj + 1])
+            for row, col in ({o: j, j: o} if design[j] == design[o] else {o: j}).items():
+                np.multiply(st[oj], e.reshape(b, -1),
+                            out=r[row * b : (row + 1) * b, offs[col] : offs[col + 1]])
         mean_std = model.basis.evaluate(xb) @ beta + (r @ model.alpha).reshape(k, -1).T
-        v = dtrmm(1.0, model.chol_inv, r.T, lower=1, overwrite_b=1)  # in r's memory
-        var_std = sigma ** 2 + p.nugget - data.reps * (v * v).sum(axis=0).reshape(k, -1).T
         means[lo : lo + b] = model.y_mean + model.y_scale * mean_std
-        sds[lo : lo + b] = model.y_scale * np.sqrt(np.maximum(var_std, 0.0))
+        if sd:
+            v = dtrmm(1.0, model.chol_inv, r.T, lower=1, overwrite_b=1)  # in r's memory
+            v *= v
+            var_std = sigma ** 2 + p.nugget - data.reps * v.sum(axis=0).reshape(k, -1).T
+            sds[lo : lo + b] = model.y_scale * np.sqrt(np.maximum(var_std, 0.0))
     return means, sds
 
 
@@ -802,15 +816,10 @@ def rmse(model, test: Dataset) -> np.ndarray:
     if test.n_points == 0:
         raise ValueError("empty test dataset")
     out = np.empty(test.k)
+    one = isinstance(model, list)  # K univariate models: output i is model i's only one
     for i in range(test.k):
-        if isinstance(model, list):
-            mean, _ = predict_batch(model[i], test.x[i])
-            pred = mean[:, 0]
-        else:
-            mean, _ = predict_batch(model, test.x[i])
-            pred = mean[:, i]
-        obs = test.y[i].reshape(-1, test.reps)
-        err = obs - pred[:, None]
+        mean, _ = predict_batch(model[i] if one else model, test.x[i], sd=False)
+        err = test.y[i].reshape(-1, test.reps) - mean[:, 0 if one else i, None]
         out[i] = float(np.sqrt(np.mean(err ** 2)))
     return out
 

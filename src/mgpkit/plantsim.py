@@ -60,6 +60,9 @@ class PlantConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.specs) != len(DEFAULT_SPECS):
+            raise ValueError(f"the plant takes {len(DEFAULT_SPECS)} inputs, "
+                             f"got {len(self.specs)} input specs")
         if not 0.0 <= self.coupling <= 1.0:
             raise ValueError(f"coupling must be in [0, 1], got {self.coupling}")
         if self.noise_sd is None:

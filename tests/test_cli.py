@@ -12,7 +12,10 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from mgpkit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from mgpkit.design import maximin_lhs, morris_trajectories, read_design_csv, scale_design
+import mgpkit.cli
+import mgpkit.mgp
+from mgpkit.design import (DesignMatrix, InputSpec, maximin_lhs, morris_trajectories,
+                           read_design_csv, scale_design, write_design_csv)
 from mgpkit.mgp import model_from_json, predict, predict_batch
 from mgpkit.plantsim import DEFAULT_SPECS
 
@@ -58,6 +61,14 @@ def make_model(workdir, out="model.json", extra=()):
     assert run(["fit", "--data", str(data), "--restarts", "1",
                 "--out", str(workdir / out), *extra]) == EXIT_OK
     return workdir / out
+
+
+def write_specs(workdir, n):
+    """A specs file of the first ``n`` plant inputs, padded with made-up ones."""
+    specs = (list(DEFAULT_SPECS) + [InputSpec(f"extra{i}", 0.0, 1.0) for i in range(n)])[:n]
+    path = workdir / f"specs{n}.csv"
+    path.write_text("".join(f"{s.name},{s.lower},{s.upper}\n" for s in specs))
+    return path
 
 
 class TestTopLevel:
@@ -172,6 +183,17 @@ class TestSimulate:
                     "--out", str(workdir / "train.csv"),
                     "--test-out", str(workdir / "test.csv")]) == EXIT_OK
         assert (workdir / "train.csv").exists() and (workdir / "test.csv").exists()
+
+    @pytest.mark.parametrize("n_specs", [5, 7])
+    def test_specs_of_wrong_length_are_data_error(self, workdir, capsys, n_specs):
+        specs = write_specs(workdir, n_specs)
+        assert run(["design", "--n", "4", "--specs-file", str(specs),
+                    "--out", str(workdir / "d")]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["simulate", "--design", str(workdir / "d_unit.csv"), "--specs-file",
+                    str(specs), "--out", str(workdir / "t.csv")]) == EXIT_DATA
+        assert f"the plant takes 6 inputs, got {n_specs} input specs" in capsys.readouterr().err
+        assert not (workdir / "t.csv").exists()
 
     def test_rerun_byte_identical(self, workdir):
         a = make_dataset(workdir, out="a.csv")
@@ -294,6 +316,67 @@ class TestPredict:
                 row += [m, s, m - 2 * s, m + 2 * s]
             rows.append(row)
         assert out.read_bytes() == per_value_csv(header, rows)
+
+    def _extrapolation_case(self, workdir):
+        """A fitted model made rough (phi 200, nugget 0.01), and a points file
+        with its first training point and the origin, outside its design."""
+        model = make_model(workdir)
+        doc = json.loads(model.read_text())
+        doc["params"].update(phi=[[200.0] * 6] * 3, nugget=0.01)
+        model.write_text(json.dumps(doc))
+        points = workdir / "pts.csv"
+        write_design_csv(points, DesignMatrix(np.array([doc["training"]["x"][0][0], [0.0] * 6])),
+                         DEFAULT_SPECS, unit=True)
+        return model, points
+
+    @staticmethod
+    def _log_fields(text):
+        line = next(ln for ln in text.splitlines() if ln.startswith("[mgpkit] predict "))
+        return dict(kv.split("=", 1) for kv in line.split()[2:])
+
+    def test_log_counts_extrapolation(self, workdir, capsys):
+        model, points = self._extrapolation_case(workdir)
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--points", str(points),
+                    "--out", str(workdir / "pred.csv")]) == EXIT_OK
+        fields = self._log_fields(capsys.readouterr().out)
+        # the training point is inside the design, with an sd near the nugget's;
+        # the origin is outside it, where the sd is near the prior sd
+        assert fields["sd_near_prior"] == "HPT:1,IPT:1,LPT:1"
+        assert fields["outside_design"] == "HPT:1,IPT:1,LPT:1"
+        assert fields["sd_zero"] == "HPT:0,IPT:0,LPT:0"
+        _, sd = predict_batch(model_from_json(model.read_text()),
+                              read_design_csv(points, DEFAULT_SPECS).points)
+        assert np.all(sd[0] > 0.0)
+
+    def test_log_counts_a_clipped_variance(self, workdir, capsys, monkeypatch):
+        model, points = self._extrapolation_case(workdir)
+
+        def clipped(*args, **kwargs):
+            mean, sd = predict_batch(*args, **kwargs)
+            sd[0, 1] = 0.0  # a variance that rounded below 0 at the training point
+            return mean, sd
+
+        monkeypatch.setattr(mgpkit.cli, "predict_batch", clipped)
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--points", str(points),
+                    "--out", str(workdir / "pred.csv")]) == EXIT_OK
+        fields = self._log_fields(capsys.readouterr().out)
+        assert fields["sd_zero"] == "HPT:0,IPT:1,LPT:0"
+        assert fields["sd_near_prior"] == "HPT:1,IPT:1,LPT:1"
+
+    def test_failed_inverse_fails_predict_but_not_screening(self, workdir, capsys, monkeypatch):
+        # L⁻¹ is formed at the first variance: loading and screening need none
+        model = make_model(workdir)
+        unit, _ = make_design(workdir, n=4, seed=3, out="pts")
+        monkeypatch.setattr(mgpkit.mgp, "dtrtri", lambda a, lower: (a, 1))
+        assert run(["sensitivity", "--target", str(model), "--r", "2",
+                    "--out", str(workdir / "s")]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--points", str(unit),
+                    "--out", str(workdir / "pred.csv")]) == EXIT_NUMERIC
+        assert "inverse of the Cholesky factor failed" in capsys.readouterr().err
+        assert not (workdir / "pred.csv").exists()
 
     def test_corrupt_model_is_data_error(self, workdir, capsys):
         bad = workdir / "bad.json"
@@ -426,6 +509,14 @@ class TestSensitivity:
         run(["sensitivity", "--r", "4", "--out", str(workdir / "a")])
         run(["sensitivity", "--r", "4", "--out", str(workdir / "b")])
         assert digest(workdir / "a_ee.csv") == digest(workdir / "b_ee.csv")
+
+    @pytest.mark.parametrize("n_specs", [5, 7])
+    def test_plant_target_with_specs_of_wrong_length_is_data_error(self, workdir, capsys,
+                                                                   n_specs):
+        assert run(["sensitivity", "--target", "plant", "--r", "2", "--specs-file",
+                    str(write_specs(workdir, n_specs)), "--out", str(workdir / "s")]) == EXIT_DATA
+        assert f"the plant takes 6 inputs, got {n_specs} input specs" in capsys.readouterr().err
+        assert not (workdir / "s_ee.csv").exists()
 
     def test_bad_delta_is_data_error(self, workdir):
         assert run(["sensitivity", "--delta", "2.0",

@@ -22,6 +22,7 @@ from mgpkit.covkernel import (
 from mgpkit.design import InputSpec, lhs
 import mgpkit.covkernel
 import mgpkit.mgp
+from mgpkit.cli import main
 from mgpkit.mgp import (
     _COV_MAXITER,
     _SEARCH_COUNTS,
@@ -1089,8 +1090,10 @@ class TestBatchedPrediction:
         assert sd.min() < 2e-4
         np.testing.assert_allclose(sd, ref_sd, rtol=0, atol=1e-9)
 
-    def test_variances_multiply_by_one_inverse_per_conditioned_model(self, monkeypatch):
-        # conditioning inverts the factor once; prediction solves nothing
+    def test_l_inverse_is_formed_at_the_first_variance(self, monkeypatch, tmp_path):
+        # conditioning inverts nothing and prediction solves nothing: the first
+        # variance inverts the factor once, and the model keeps L⁻¹.  Callers
+        # that read means only (screening, rmse) and fits never invert.
         calls = {"dtrtri": 0, "solve_triangular": 0, "condition": 0}
 
         def counted(owner, name, key):
@@ -1111,13 +1114,26 @@ class TestBatchedPrediction:
         data = Dataset(UNIT_SPECS_2D, xs, [rng.normal(size=n) for n in (6, 5)], 1, ["a", "b"])
         model = _LoglikEngine(data, RegressionBasis("linear")).condition(
             make_params(2, 2, 3, rng, nugget=0.1))
+        assert calls == {"dtrtri": 0, "solve_triangular": 0, "condition": 1}
+        predict_batch(model, rng.uniform(size=(11, 2)))
         assert calls == {"dtrtri": 1, "solve_triangular": 0, "condition": 1}
         predict_batch(model, rng.uniform(size=(11, 2)))
-        loaded = model_from_json(model_to_json(model))
+        predict(model, np.full(2, 0.5))
+        assert calls == {"dtrtri": 1, "solve_triangular": 0, "condition": 1}
+        text = model_to_json(model)
+        loaded = model_from_json(text)
+        assert calls == {"dtrtri": 1, "solve_triangular": 0, "condition": 2}
         predict(loaded, np.full(2, 0.5))
         assert calls == {"dtrtri": 2, "solve_triangular": 0, "condition": 2}
+
+        rmse(model_from_json(text), Dataset(UNIT_SPECS_2D, [xs[1][:3], xs[0][:2]],
+                                            [np.zeros(3), np.ones(2)], 1, ["a", "b"]))
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        assert main(["sensitivity", "--target", str(path), "--r", "3",
+                     "--out", str(tmp_path / "s")]) == 0
         fit(data, RegressionBasis("const"), FitConfig(lam="auto", restarts=2))
-        assert calls["dtrtri"] == calls["condition"] > 2
+        assert calls["dtrtri"] == 2 and calls["condition"] > 4
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_query_point_is_rejected(self, bad):
@@ -1154,11 +1170,34 @@ class TestBatchedPrediction:
         assert np.array_equal(sd, ref_sd)
 
 
-    @pytest.mark.parametrize("designs, calls", [((0, 0, 0), 3), ((0, 1, 0), 6)],
+    @pytest.mark.parametrize("sizes, reps, shared", [((5, 9, 7), 2, False), ((8,), 1, False),
+                                                     ((7, 7, 7), 2, True)],
+                             ids=["heterotopic-k3", "k1", "isotopic-k3"])
+    def test_means_without_sds_are_equal(self, monkeypatch, sizes, reps, shared):
+        monkeypatch.setattr("mgpkit.mgp.PREDICT_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(24)
+        k, l = len(sizes), 2
+        xs = [rng.uniform(size=(n, l)) for n in sizes]
+        if shared:
+            xs = [xs[0].copy() for _ in xs]
+        ys = [rng.normal(size=n * reps) for n in sizes]
+        data = Dataset(UNIT_SPECS_2D, xs, ys, reps, [f"y{i}" for i in range(k)])
+        model = _LoglikEngine(data, RegressionBasis("linear")).condition(
+            make_params(k, l, 3, rng, nugget=0.2))
+        model.y_mean = rng.normal(size=k)
+        model.y_scale = rng.uniform(0.5, 3.0, size=k)
+        xq = rng.uniform(-0.1, 1.1, size=(11, l))
+        mean, sd = predict_batch(model, xq, sd=False)
+        assert sd is None
+        assert np.array_equal(mean, predict_batch(model, xq)[0])
+
+    @pytest.mark.parametrize("designs, calls, kernels", [((0, 0, 0), 3, 6), ((0, 1, 0), 6, 8)],
                              ids=["isotopic-k3", "two-designs-k3"])
-    def test_one_sq_diffs_per_block_per_distinct_design(self, monkeypatch, designs, calls):
+    def test_one_sq_diffs_per_block_per_distinct_design(self, monkeypatch, designs, calls,
+                                                        kernels):
         # 11 query rows in blocks of 4 make three blocks; outputs on equal
-        # copies of one point set share its squared differences
+        # copies of one point set share its squared differences, and the
+        # kernel of (o, j) fills (j, o) too: one per unordered pair on one design
         monkeypatch.setattr("mgpkit.mgp.PREDICT_BLOCK_ROWS", 4)
         rng = np.random.default_rng(30)
         k, l, reps = 3, 2, 2
@@ -1177,9 +1216,17 @@ class TestBatchedPrediction:
             d2_calls.append(1)
             return sq_diffs_(*args)
 
+        kernels_, kernel_calls = mgpkit.mgp.kernels_from_sq_diffs, []
+
+        def counted_kernels(*args):
+            kernel_calls.append(1)
+            return kernels_(*args)
+
         monkeypatch.setattr("mgpkit.mgp.sq_diffs", counted_sq_diffs)
+        monkeypatch.setattr("mgpkit.mgp.kernels_from_sq_diffs", counted_kernels)
         mean, sd = predict_batch(model, xq)
         assert len(d2_calls) == calls
+        assert len(kernel_calls) == 3 * kernels
         ref_mean, ref_sd = per_pair_predict_batch(model, xq)
         assert np.array_equal(mean, ref_mean)
         assert np.array_equal(sd, ref_sd)
