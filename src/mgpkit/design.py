@@ -12,10 +12,38 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# scipy.spatial loads when a design is first measured, not at import; tests wrap this name
+# scipy.spatial loads when a design is first measured, not at import; tests wrap these names
 def pdist(points):
     from scipy.spatial.distance import pdist
     return pdist(points)
+
+
+def cdist(a, b):
+    from scipy.spatial.distance import cdist
+    return cdist(a, b)
+
+
+_SWEEP_ROWS = 64
+_BELOW = np.tri(_SWEEP_ROWS, k=-1, dtype=bool)  # a block's pairs with its own earlier rows
+
+
+def _has_pair_within(points, bound) -> bool:
+    """Whether two rows of ``points`` lie at distance <= ``bound``, stopping at the first.
+
+    Rows sorted by their first coordinate are swept in blocks, each compared with
+    itself and the earlier rows whose rounded gap to its first row in that
+    coordinate is <= ``bound``: no distance is below that gap, and cdist rounds
+    each distance as pdist does."""
+    pts = points[np.argsort(points[:, 0], kind="stable")]
+    x0 = pts[:, 0]
+    for start in range(0, len(pts), _SWEEP_ROWS):
+        stop = min(start + _SWEEP_ROWS, len(pts))
+        lo = np.count_nonzero(x0[start] - x0[:start] > bound)  # gaps fall as the index grows
+        near = cdist(pts[start:stop], pts[lo:stop]) <= bound
+        near[:, start - lo:] &= _BELOW[: stop - start, : stop - start]
+        if near.any():
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -102,7 +130,9 @@ def maximin_lhs(n: int, l: int, seed: int, restarts: int = 20) -> DesignMatrix:
     """Best-of-`restarts` LHS under the maximin inter-point distance criterion.
 
     The first candidate reuses the stream of ``lhs(n, l, seed)``, so
-    ``restarts=1`` returns exactly that design.
+    ``restarts=1`` returns exactly that design.  A later candidate is dropped at
+    its first pair within the best distance so far and measured in full only
+    when it has none, which leaves the chosen design unchanged.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -111,6 +141,8 @@ def maximin_lhs(n: int, l: int, seed: int, restarts: int = 20) -> DesignMatrix:
     for i in range(restarts):
         cand_seed = seed if i == 0 else np.random.SeedSequence((seed, i)).generate_state(1)[0]
         cand = lhs(n, l, int(cand_seed))
+        if best is not None and _has_pair_within(cand.points, best_dist):
+            continue  # its minimum distance cannot beat the best
         d = cand.min_distance()
         if d > best_dist:
             best, best_dist = cand, d

@@ -490,7 +490,11 @@ class _LoglikEngine:
         n_extra = self.n_total - self.n_points
         trace_w = float((a * a * m - inv.diagonal()).sum())
         g_nugget = 0.5 * trace_w - 0.5 * (n_extra / nugget - self.sse / nugget ** 2)
-        return ll, np.concatenate([g[:, 0], g[:, 1:].ravel(), g_u, [nugget * g_nugget]])
+        grad = np.concatenate([g[:, 0], g[:, 1:].ravel(), g_u, [nugget * g_nugget]])
+        # dpotrf reads one triangle of Cz, the gradient both: a NaN the other holds shows here
+        if not np.isfinite(grad).all():
+            raise NonPositiveDefiniteError("non-finite gradient of the log-likelihood")
+        return ll, grad
 
 
 @dataclass

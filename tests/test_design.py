@@ -3,7 +3,9 @@ import io
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+import mgpkit.design
 from mgpkit.design import (
     DesignMatrix,
     InputSpec,
@@ -89,6 +91,69 @@ class TestMaximinLhs:
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError):
             maximin_lhs(4, 2, seed=0, restarts=0)
+
+    @staticmethod
+    def reference(n, l, seed, restarts):
+        """Best of `restarts` candidates on the same seeds, each measured by pdist."""
+        best, best_dist = None, -np.inf
+        for i in range(restarts):
+            cand_seed = seed if i == 0 else np.random.SeedSequence((seed, i)).generate_state(1)[0]
+            cand = lhs(n, l, int(cand_seed))
+            d = pdist(cand.points).min()
+            if d > best_dist:
+                best, best_dist = cand, d
+        return best
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 100, 500, 1000])
+    def test_equals_measuring_every_candidate(self, n):
+        for l in (1, 2, 6, 8):
+            for restarts in (1, 3, 20):
+                for seed in (0, 1, 2):
+                    got, want = maximin_lhs(n, l, seed, restarts), self.reference(n, l, seed, restarts)
+                    assert np.array_equal(got.points, want.points)
+                    assert got.min_distance() == want.min_distance()
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 100, 500])
+    def test_pair_check_is_exact_at_a_tie(self, n):
+        # True exactly when pdist's minimum is <= the bound, whatever the row order
+        rng = np.random.default_rng(n)
+        for l in (1, 2, 6, 8):
+            for seed in (0, 1):
+                pts = lhs(n, l, seed).points
+                low = pdist(pts).min()
+                for rows in (pts, pts[::-1], pts[rng.permutation(n)]):
+                    assert mgpkit.design._has_pair_within(rows, low)
+                    assert not mgpkit.design._has_pair_within(rows, np.nextafter(low, 0.0))
+                    assert mgpkit.design._has_pair_within(rows, 2.0 * low)
+
+    @pytest.mark.parametrize("l", [1, 2, 6])
+    def test_pair_check_sees_a_pair_across_blocks(self, l):
+        # the closest pair lies along the sorted coordinate, the last row of
+        # one block and the first of the next, so only the window finds it
+        rows = mgpkit.design._SWEEP_ROWS
+        gaps = np.full(2 * rows, 0.007)
+        gaps[rows - 1] = 0.003
+        pts = np.full((2 * rows + 1, l), 0.5)
+        pts[:, 0] = np.concatenate([[0.0], np.cumsum(gaps)])
+        pts = pts[np.random.default_rng(l).permutation(len(pts))]
+        low = pdist(pts).min()
+        assert mgpkit.design._has_pair_within(pts, low)
+        assert not mgpkit.design._has_pair_within(pts, np.nextafter(low, 0.0))
+
+    @pytest.mark.parametrize("l", [1, 2, 6, 8])
+    def test_cdist_rounds_every_pair_as_pdist(self, l):
+        # the pair check rejects a candidate on a cdist distance and maximin_lhs
+        # compares pdist minima: the two must agree bit for bit, in either row
+        # order and in any block of rows
+        for n in (7, 100, 500):
+            pts = lhs(n, l, seed=n).points
+            want = pdist(pts)
+            full = mgpkit.design.cdist(pts, pts)
+            upper = np.triu_indices(n, 1)
+            assert np.array_equal(full[upper], want)
+            assert np.array_equal(full.T[upper], want)
+            assert np.array_equal(mgpkit.design.cdist(pts[n // 3 : n // 2], pts[n // 5 :]),
+                                  full[n // 3 : n // 2, n // 5 :])
 
 
 class TestScaleDesign:

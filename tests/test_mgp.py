@@ -792,6 +792,32 @@ class TestLoglikEngine:
         assert counts["searches"] == 1  # the frozen-angle warm-up, then the β step raises
         assert counts["npd_penalties"] >= 1
 
+    def test_a_nan_only_the_upper_triangle_holds_fails_the_gradient(self, monkeypatch):
+        # dpotrf reads one triangle of Cz and the gradient both: with a NaN at
+        # kernel entry (0, 1) of a K=1 covariance the factor is finite and ℓ
+        # would be too, so loglik_grad raises on its non-finite gradient, and
+        # the search takes that as its penalty and stays at its start
+        kernels_ = mgpkit.covkernel.kernels_from_sq_diffs
+
+        def one_nan(d2, harm, norm):
+            e = kernels_(d2, harm, norm)
+            e[0, 1] = np.nan
+            return e
+
+        monkeypatch.setattr(mgpkit.covkernel, "kernels_from_sq_diffs", one_nan)
+        x = lhs(10, 2, seed=6).points
+        data = Dataset(UNIT_SPECS_2D, [x], [np.sin(6 * x[:, 0])], 1, ["a"])
+        engine = _LoglikEngine(data, RegressionBasis("const"))
+        theta = random_theta(data, np.random.default_rng(33))
+        chol, jitter = engine.factor(theta)
+        assert np.isfinite(chol).all() and jitter == 0.0
+        with pytest.raises(NonPositiveDefiniteError, match="non-finite gradient"):
+            engine.loglik_grad(theta, np.zeros(1))
+        counts = dict.fromkeys(_SEARCH_COUNTS, 0)
+        model = _fit_once(engine, 0.0, counts)
+        assert counts["npd_penalties"] >= counts["searches"] >= 1
+        assert np.array_equal(model.params.phi.phi, np.ones((1, 2)))
+
     def test_search_uses_the_exact_gradient(self, monkeypatch):
         # a finite-difference gradient costs one factorization per parameter
         # per iteration (13 parameters here); the exact one costs one per
