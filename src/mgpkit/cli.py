@@ -15,6 +15,7 @@ import numpy as np
 
 from . import __version__
 from .design import (
+    DesignMatrix,
     InputSpec,
     format_csv_rows,
     maximin_lhs,
@@ -228,6 +229,9 @@ def cmd_compare(args) -> int:
     specs = _load_specs(args.specs_file)
     train = read_dataset_csv(args.train, specs)
     test = read_dataset_csv(args.test, specs)
+    if test.output_names != train.output_names:
+        raise DataError(f"{args.test}: outputs {test.output_names} differ from the training "
+                        f"outputs {train.output_names}")
     basis = RegressionBasis(args.basis)
     config = _fit_config(args)
     mgp_model = fit(train, basis, config)
@@ -252,11 +256,9 @@ def cmd_sensitivity(args) -> int:
     specs = _load_specs(args.specs_file)
     if args.target == "plant":
         cfg = PlantConfig(specs=specs, noise_sd=np.zeros(3), coupling=args.coupling)
-        lo = np.array([s.lower for s in specs])
-        hi = np.array([s.upper for s in specs])
 
         def f(u):
-            return plant_response_batch(lo + u * (hi - lo), cfg)
+            return plant_response_batch(scale_design(DesignMatrix(u), specs), cfg)
 
         names = list(OUTPUT_NAMES)
     else:

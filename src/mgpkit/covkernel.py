@@ -204,18 +204,6 @@ def cross_cov_block(
     return st[0] * e.reshape(len(xa), len(xb))
 
 
-def det_normalizer(phi_i: np.ndarray, phi_j: np.ndarray) -> float:
-    """Equivalent determinant normalizer written in precision form.
-
-    |Phi_i^-1|^(1/4) |Phi_j^-1|^(1/4) / |(Phi_i^-1 + Phi_j^-1)/2|^(1/2),
-    returned as the factor multiplying the exponential (i.e. already inverted).
-    """
-    inv_i, inv_j = 1.0 / np.asarray(phi_i), 1.0 / np.asarray(phi_j)
-    return float(
-        np.prod(inv_i) ** 0.25 * np.prod(inv_j) ** 0.25 / np.sqrt(np.prod((inv_i + inv_j) / 2.0))
-    )
-
-
 def mean_normalizer(phi_i: np.ndarray, phi_j: np.ndarray):
     """Determinant normalizer as a multiplying factor, arithmetic-mean form:
     prod_k [AM(phi_k) * AM(1/phi_k)]^(-1/4), 1 when phi_i == phi_j; per-pair
@@ -236,13 +224,6 @@ def pair_constants(sigma, phi, t, ii, jj):
     pi, pj = phi_ends
     s = sigma[ii] * sigma[jj]
     return phi_ends, harmonic_precisions(pi, pj), mean_normalizer(pi, pj), s, s * t[ii, jj]
-
-
-def _corner_view(c: np.ndarray, shape: tuple, mirrored: bool = False) -> np.ndarray:
-    """A view of the square C-ordered ``c`` by block corner: ``v[x, y]`` is
-    c[x:x+p, y:y+q] for ``shape`` (p, q), or, ``mirrored``, c[y:y+q, x:x+p].T."""
-    n, (p, q), strides = len(c), shape, c.strides[::-1] if mirrored else c.strides
-    return np.ndarray((n - p + 1, n - q + 1, p, q), c.dtype, c, 0, strides * 2)
 
 
 class OutputPairs:
@@ -273,15 +254,14 @@ class OutputPairs:
         kernels = [kernels_from_sq_diffs(d2, harm[ps], norm[ps]) for ps, d2, *_ in self.groups]
         if len(self.ii) == 1:  # K=1: C is the one pair's block
             return (st[0] * kernels[0]).reshape(n, n), kernels
-        # C is Fortran-ordered for dpotrf to factor in place: in its transpose c_t each
-        # block goes transposed below C's diagonal, then as it is above (over a diagonal one)
-        c_t = np.empty((n, n))
+        c = np.empty((n, n), order="F")  # Fortran-ordered, for dpotrf to factor in place
         for (ps, _, rows, cols), e in zip(self.groups, kernels):
-            corners, shape = (rows[:, 0], cols[:, 0]), (rows.shape[1], cols.shape[1])
-            blocks = (st[ps, None] * e).reshape(-1, *shape)
-            _corner_view(c_t, shape)[corners] = blocks
-            _corner_view(c_t, shape, mirrored=True)[corners] = blocks
-        return c_t.T, kernels
+            p, q = rows.shape[1], cols.shape[1]
+            for block, r, s in zip((st[ps, None] * e).reshape(-1, p, q), rows[:, 0], cols[:, 0]):
+                c[r : r + p, s : s + q] = block
+                if r != s:  # a block above the diagonal, and its transpose below
+                    c[s : s + q, r : r + p] = block.T
+        return c, kernels
 
     @cached_property
     def lower_index(self) -> list:

@@ -55,6 +55,9 @@ class InputSpec:
     upper: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
+            raise ValueError(f"input '{self.name}': bounds must be finite, got "
+                             f"[{self.lower}, {self.upper}]")
         if not self.lower < self.upper:
             raise ValueError(
                 f"input '{self.name}': lower ({self.lower}) must be < upper ({self.upper})"
@@ -66,7 +69,7 @@ class DesignMatrix:
     """n points in [0,1]^l, one row per point."""
 
     points: np.ndarray
-    # min_distance() measured once: maximin_lhs measures every candidate
+    # min_distance() measured once: cmd_design's log line reads what maximin_lhs measured
     _min_distance: float = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -268,13 +268,6 @@ def gls_beta_l1(r_chol: np.ndarray, f: np.ndarray, y: np.ndarray, lam: float) ->
     return beta
 
 
-def lambda_max(r_chol: np.ndarray, f: np.ndarray, y: np.ndarray) -> float:
-    """Smallest penalty at which the L1-penalized GLS solution is all-zero."""
-    w = solve_triangular(r_chol, y, lower=True)
-    fw = solve_triangular(r_chol, f, lower=True)
-    return float(np.max(np.abs(fw.T @ w)))
-
-
 # ---------------------------------------------------------------------------
 # Fitting
 
@@ -530,15 +523,6 @@ class FittedModel:
             raise NonPositiveDefiniteError(f"inverse of the Cholesky factor failed (info {info})")
         return chol_inv
 
-    def beta_original(self) -> list:
-        """Trend coefficients mapped back to original output units."""
-        out = []
-        for i, b in enumerate(self.params.beta):
-            bo = self.y_scale[i] * b.copy()
-            bo[0] += self.y_mean[i]
-            out.append(bo)
-        return out
-
 
 # scipy.optimize loads at the first search, not at import; span tracers and tests wrap this name
 def minimize(*args, **kwargs):
@@ -723,7 +707,7 @@ def _relaxed_trend(model0: FittedModel, engine: _LoglikEngine) -> FittedModel:
     for g in sorted(_LAMBDA_GRID):
         lam = g * n_tot
         if lam > 0:
-            sup = np.flatnonzero(gls_beta_l1(np.eye(len(w_y)), w_f, w_y, lam))
+            sup = np.flatnonzero(gls_beta_l1(model0.chol, engine.f_s, engine.y_s, lam))
         else:
             sup = np.arange(width)
         relaxed = np.zeros(width)
@@ -819,8 +803,11 @@ def rmse(model, test: Dataset) -> np.ndarray:
     """Per-output test RMSE; `model` is a FittedModel or a list of K of them."""
     if test.n_points == 0:
         raise ValueError("empty test dataset")
-    out = np.empty(test.k)
     one = isinstance(model, list)  # K univariate models: output i is model i's only one
+    k = len(model) if one else model.k
+    if test.k != k:
+        raise ValueError(f"test dataset has {test.k} outputs, the model {k}")
+    out = np.empty(test.k)
     for i in range(test.k):
         mean, _ = predict_batch(model[i] if one else model, test.x[i], sd=False)
         err = test.y[i].reshape(-1, test.reps) - mean[:, 0 if one else i, None]
@@ -870,11 +857,17 @@ def _field(doc, key, kind=list):
     raise ValueError(f"model file: field {key!r} is missing or not a {kind.__name__}")
 
 
-def _numbers(values, key: str) -> np.ndarray:
-    """Field ``key`` of a model file as floats, all finite (json reads NaN and Infinity)."""
-    a = np.array(values, dtype=float)
+def _numbers(values, key: str, shape: tuple = None) -> np.ndarray:
+    """Field ``key`` of a model file as floats, all finite (json reads NaN and
+    Infinity), in ``shape`` if one is given."""
+    try:
+        a = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # a ragged list, or one holding text
+        raise ValueError(f"model file: field {key!r} is not an array of numbers") from exc
     if not np.all(np.isfinite(a)):
         raise ValueError(f"model file: field {key!r} holds a number that is not finite")
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"model file: field {key!r} has shape {a.shape}, expected {shape}")
     return a
 
 
@@ -884,26 +877,31 @@ def model_from_json(text: str) -> FittedModel:
         raise ValueError(f"unsupported model format: {doc['version']!r}")
     specs = [InputSpec(_field(s, "name", str), _field(s, "lower", Real), _field(s, "upper", Real))
              for s in _field(doc, "specs")]
+    l = len(specs)
     tr = _field(doc, "training", dict)
+    xs = [_numbers(xi, "x") for xi in _field(tr, "x")]
+    if any(xi.shape[1:] != (l,) for xi in xs):
+        raise ValueError(f"model file: field 'x' holds a point that is not {l} numbers")
     data = Dataset(
         specs,
-        [_numbers(xi, "x") for xi in _field(tr, "x")],
+        xs,
         [_numbers(yi, "y") for yi in _field(tr, "y")],
         _field(tr, "reps", int),
         _field(doc, "output_names"),
     )
+    k, basis = data.k, RegressionBasis(_field(doc, "basis", str))
     pp = _field(doc, "params", dict)
     params = MgpParams(
-        beta=[_numbers(b, "beta") for b in _field(pp, "beta")],
-        sigma=MarginalSds(_numbers(_field(pp, "sigma"), "sigma")),
-        phi=RoughnessParams(_numbers(_field(pp, "phi"), "phi")),
-        omega=CrossCorrAngles(_numbers(_field(pp, "omega"), "omega"), data.k),
+        beta=list(_numbers(_field(pp, "beta"), "beta", (k, basis.width(l)))),
+        sigma=MarginalSds(_numbers(_field(pp, "sigma"), "sigma", (k,))),
+        phi=RoughnessParams(_numbers(_field(pp, "phi"), "phi", (k, l))),
+        omega=CrossCorrAngles(_numbers(_field(pp, "omega"), "omega"), k),
         nugget=float(_field(pp, "nugget", Real)),
         lam=float(_field(pp, "lambda", Real)),
     )
-    model = _LoglikEngine(data, RegressionBasis(_field(doc, "basis", str))).condition(params)
+    model = _LoglikEngine(data, basis).condition(params)
     std = _field(doc, "standardization", dict)
-    model.y_mean = _numbers(_field(std, "y_mean"), "y_mean")
-    model.y_scale = _numbers(_field(std, "y_scale"), "y_scale")
+    model.y_mean = _numbers(_field(std, "y_mean"), "y_mean", (k,))
+    model.y_scale = _numbers(_field(std, "y_scale"), "y_scale", (k,))
     model.diagnostics = doc.get("diagnostics", {})
     return model

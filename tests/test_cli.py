@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -123,6 +124,24 @@ class TestImports:
         assert "scipy.optimize" in after_fit
 
 
+class TestBenchTracer:
+    def test_every_wrapped_name_exists(self, monkeypatch):
+        # the benchmark's tracer wraps program functions by module attribute; deleting
+        # one of them fails here, not only in a traced benchmark run
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        fit, tracer = mgpkit.mgp.fit, spans.Tracer()
+        try:
+            spans.install_mgpkit(tracer, mgpkit)
+            assert mgpkit.mgp.fit is not fit
+        finally:
+            tracer.uninstall()
+        assert mgpkit.mgp.fit is fit
+
+
 class TestDesign:
     def test_writes_unit_and_phys(self, workdir):
         unit, phys = make_design(workdir)
@@ -166,6 +185,15 @@ class TestDesign:
         specs.write_text("a,zero,1\n")
         assert run(["design", "--n", "5", "--specs-file", str(specs),
                     "--out", str(workdir / "d")]) == EXIT_DATA
+
+    def test_infinite_bound_is_data_error(self, workdir, capsys):
+        # once written as inf in every row of d_phys.csv, with exit 0
+        specs = workdir / "specs.csv"
+        specs.write_text("pressure_mpa,10,inf\ntemperature_k,500,2000\n")
+        assert run(["design", "--n", "5", "--specs-file", str(specs),
+                    "--out", str(workdir / "d")]) == EXIT_DATA
+        assert "input 'pressure_mpa': bounds must be finite" in capsys.readouterr().err
+        assert not (workdir / "d_phys.csv").exists()
 
 
 class TestSimulate:
@@ -407,6 +435,19 @@ class TestPredict:
                        (dict(doc, training=dict(doc["training"], x=x)), "x"),
                        (dict(doc, specs=[dict(doc["specs"][0], upper=float("inf"))]
                              + doc["specs"][1:]), "upper")]
+        # arrays that do not fit K = 3, l = 6 and the const basis: once an IndexError
+        # traceback, or numpy's matmul or broadcast message naming no field
+        params, std = doc["params"], doc["standardization"]
+        misshapen = [(dict(doc, params=dict(params, **{name: value})), name)
+                     for name, value in [("sigma", params["sigma"][:2]),
+                                         ("phi", params["phi"][:2]),
+                                         ("phi", [row[:5] for row in params["phi"]]),
+                                         ("beta", params["beta"][:2]),
+                                         ("beta", [b * 3 for b in params["beta"]])]]
+        misshapen.append((dict(doc, standardization=dict(std, y_scale=std["y_scale"][:2])),
+                          "y_scale"))
+        ragged_phi = [params["phi"][0][:5]] + params["phi"][1:]
+        x5 = [[row[:5] for row in xi] for xi in doc["training"]["x"]]
         # an unknown version, a known version with no other field, and a
         # document that is not an object: each error names what is wrong
         for text, message in [('{"version": "other"}', "unsupported model format: 'other'"),
@@ -415,7 +456,12 @@ class TestPredict:
                               (json.dumps(nugget_true), "field 'nugget' is missing or not a Real"),
                               (json.dumps(reps_true), "field 'reps' is missing or not a int")] + [
                 (json.dumps(bad_doc), f"field {name!r} holds a number that is not finite")
-                for bad_doc, name in non_finite]:
+                for bad_doc, name in non_finite] + [
+                (json.dumps(bad_doc), f"field {name!r} has shape") for bad_doc, name in misshapen] + [
+                (json.dumps(dict(doc, params=dict(params, phi=ragged_phi))),
+                 "field 'phi' is not an array of numbers"),
+                (json.dumps(dict(doc, training=dict(doc["training"], x=x5))),
+                 "field 'x' holds a point that is not 6 numbers")]:
             bad.write_text(text)
             capsys.readouterr()
             assert run(["predict", "--model", str(bad), "--points", str(unit)]) == EXIT_DATA
@@ -479,6 +525,24 @@ class TestCompare:
         assert rows[0] == "output,rmse_mgp,rmse_independent"
         assert len(rows) == 4
 
+    # a test set with fewer outputs once crashed with an IndexError after two rows, and one
+    # with its outputs reordered scored each model against another output's data
+    @pytest.mark.parametrize("outputs", [["HPT", "IPT"], ["LPT", "IPT", "HPT"]])
+    def test_test_outputs_must_match_training(self, workdir, capsys, outputs):
+        train = make_dataset(workdir, n=8, seed=0, out="train.csv")
+        with open(make_dataset(workdir, n=6, seed=4, out="test.csv"), newline="") as fh:
+            table = list(csv.DictReader(fh))
+        test = workdir / "test_cols.csv"
+        columns = [s.name for s in DEFAULT_SPECS] + ["rep"] + outputs
+        with open(test, "w", newline="") as fh:
+            csv.writer(fh).writerows([columns] + [[row[c] for c in columns] for row in table])
+        out = workdir / "cmp.csv"
+        assert run(["compare", "--train", str(train), "--test", str(test),
+                    "--restarts", "1", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"outputs {outputs} differ from the training outputs ['HPT', 'IPT', 'LPT']" in err
+        assert not out.exists()
+
 
 class TestSensitivity:
     def test_plant_target(self, workdir, capsys):
@@ -524,6 +588,15 @@ class TestSensitivity:
         assert run(["sensitivity", "--target", "plant", "--r", "2", "--specs-file",
                     str(write_specs(workdir, n_specs)), "--out", str(workdir / "s")]) == EXIT_DATA
         assert f"the plant takes 6 inputs, got {n_specs} input specs" in capsys.readouterr().err
+        assert not (workdir / "s_ee.csv").exists()
+
+    def test_plant_target_with_infinite_bound_is_data_error(self, workdir, capsys):
+        # once a RuntimeError traceback from the plant's non-finite input
+        specs = write_specs(workdir, 6)
+        specs.write_text(specs.read_text().replace("pressure_mpa,10.0,35.0", "pressure_mpa,10,inf"))
+        assert run(["sensitivity", "--target", "plant", "--r", "2", "--specs-file", str(specs),
+                    "--out", str(workdir / "s")]) == EXIT_DATA
+        assert "input 'pressure_mpa': bounds must be finite" in capsys.readouterr().err
         assert not (workdir / "s_ee.csv").exists()
 
     def test_bad_delta_is_data_error(self, workdir):

@@ -40,7 +40,6 @@ from mgpkit.mgp import (
     fit,
     fit_independent,
     gls_beta_l1,
-    lambda_max,
     model_from_json,
     model_to_json,
     penalized_loglik,
@@ -48,6 +47,7 @@ from mgpkit.mgp import (
     predict_batch,
     rmse,
 )
+from oracles import lambda_max
 
 UNIT_SPECS_1D = [InputSpec("x", 0.0, 1.0)]
 UNIT_SPECS_2D = [InputSpec("x1", 0.0, 1.0), InputSpec("x2", 0.0, 1.0)]
@@ -1286,6 +1286,15 @@ class TestRmse:
         model = self._simple_model(0.0)
         with pytest.raises(ValueError):
             rmse(model, Dataset(UNIT_SPECS_1D, [np.empty((0, 1))], [np.empty(0)], 1, ["y"]))
+
+    def test_test_set_of_other_output_count_rejected(self):
+        # once an IndexError after the first output's score
+        model = self._simple_model(0.0)
+        x = np.array([[0.33], [0.66]])
+        test = Dataset(UNIT_SPECS_1D, [x, x], [np.ones(2), np.ones(2)], 1, ["y", "z"])
+        for scored in (model, [model]):
+            with pytest.raises(ValueError, match="test dataset has 2 outputs, the model 1"):
+                rmse(scored, test)
 
 
 class TestSerialization:
