@@ -65,9 +65,12 @@ def _load_specs(path) -> list:
         for i, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].startswith("#") or row[0] == "name":
                 continue
+            if len(row) != 3 or not row[0] or row[0] in {s.name for s in specs}:
+                raise DataError(f"{path}: bad spec at row {i}: expected a name not used before, "
+                                f"a lower and an upper bound, got {row}")
             try:
                 specs.append(InputSpec(row[0], float(row[1]), float(row[2])))
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise DataError(f"{path}: bad spec at row {i}: {exc}") from exc
     if not specs:
         raise DataError(f"{path}: no input specs found")

@@ -12,38 +12,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# scipy.spatial loads when a design is first measured, not at import; tests wrap these names
-def pdist(points):
-    from scipy.spatial.distance import pdist
-    return pdist(points)
-
-
+# scipy.spatial loads when a design is first measured, not at import; tests wrap this name
 def cdist(a, b):
     from scipy.spatial.distance import cdist
     return cdist(a, b)
 
 
 _SWEEP_ROWS = 64
-_BELOW = np.tri(_SWEEP_ROWS, k=-1, dtype=bool)  # a block's pairs with its own earlier rows
+_ON_OR_ABOVE = ~np.tri(_SWEEP_ROWS, k=-1, dtype=bool)  # in-block pairs to skip
 
 
-def _has_pair_within(points, bound) -> bool:
-    """Whether two rows of ``points`` lie at distance <= ``bound``, stopping at the first.
+def _least_distance(points, bound=-np.inf) -> float:
+    """Least distance between two rows of ``points``, or a value <= ``bound`` once one is found.
 
     Rows sorted by their first coordinate are swept in blocks, each compared with
     itself and the earlier rows whose rounded gap to its first row in that
-    coordinate is <= ``bound``: no distance is below that gap, and cdist rounds
-    each distance as pdist does."""
+    coordinate is <= the least distance so far: no distance is below that gap,
+    and cdist rounds each distance as pdist does, so the result is pdist's minimum."""
     pts = points[np.argsort(points[:, 0], kind="stable")]
-    x0 = pts[:, 0]
+    least, lo = np.inf, 0
     for start in range(0, len(pts), _SWEEP_ROWS):
         stop = min(start + _SWEEP_ROWS, len(pts))
-        lo = np.count_nonzero(x0[start] - x0[:start] > bound)  # gaps fall as the index grows
-        near = cdist(pts[start:stop], pts[lo:stop]) <= bound
-        near[:, start - lo:] &= _BELOW[: stop - start, : stop - start]
-        if near.any():
-            return True
-    return False
+        lo += np.count_nonzero(pts[start, 0] - pts[lo:start, 0] > least)  # gaps fall along rows
+        dist = cdist(pts[start:stop], pts[lo:stop])
+        dist[:, start - lo:][_ON_OR_ABOVE[: stop - start, : stop - start]] = np.inf
+        least = min(least, dist.min())
+        if least <= bound:
+            break
+    return float(least)
 
 
 @dataclass(frozen=True)
@@ -89,9 +85,11 @@ class DesignMatrix:
         return self.points.shape[1]
 
     def min_distance(self) -> float:
-        """Minimum pairwise Euclidean distance between design points."""
+        """Minimum pairwise Euclidean distance between design points: pdist's, bit for bit."""
+        if self.n < 2:
+            raise ValueError(f"a minimum distance needs at least 2 design points, got {self.n}")
         if self._min_distance is None:
-            object.__setattr__(self, "_min_distance", float(pdist(self.points).min()))
+            object.__setattr__(self, "_min_distance", _least_distance(self.points))
         return self._min_distance
 
 
@@ -133,9 +131,9 @@ def maximin_lhs(n: int, l: int, seed: int, restarts: int = 20) -> DesignMatrix:
     """Best-of-`restarts` LHS under the maximin inter-point distance criterion.
 
     The first candidate reuses the stream of ``lhs(n, l, seed)``, so
-    ``restarts=1`` returns exactly that design.  A later candidate is dropped at
-    its first pair within the best distance so far and measured in full only
-    when it has none, which leaves the chosen design unchanged.
+    ``restarts=1`` returns exactly that design.  One sweep per candidate stops
+    at its first pair within the best distance so far and is exact otherwise, so
+    the design is unchanged and keeps its distance for ``min_distance()``.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -144,11 +142,10 @@ def maximin_lhs(n: int, l: int, seed: int, restarts: int = 20) -> DesignMatrix:
     for i in range(restarts):
         cand_seed = seed if i == 0 else np.random.SeedSequence((seed, i)).generate_state(1)[0]
         cand = lhs(n, l, int(cand_seed))
-        if best is not None and _has_pair_within(cand.points, best_dist):
-            continue  # its minimum distance cannot beat the best
-        d = cand.min_distance()
+        d = _least_distance(cand.points, best_dist)  # exact when it beats best_dist
         if d > best_dist:
             best, best_dist = cand, d
+    object.__setattr__(best, "_min_distance", best_dist)
     return best
 
 

@@ -14,6 +14,7 @@ from scipy.spatial.distance import pdist
 
 from mgpkit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 import mgpkit.cli
+import mgpkit.design
 import mgpkit.mgp
 from mgpkit.design import (DesignMatrix, InputSpec, lhs, maximin_lhs, morris_trajectories,
                            read_design_csv, scale_design, write_design_csv)
@@ -154,23 +155,39 @@ class TestDesign:
         assert (digest(unit2), digest(phys2)) == h1
 
     def test_measures_only_the_candidates_that_improve(self, workdir, monkeypatch, capsys):
-        # maximin_lhs measures a candidate in full (one pdist) only when it
-        # beats the best so far; the logged minimum distance is the winner's,
-        # with no pdist after the search
-        n, seed, restarts, l = 30, 2, 8, len(DEFAULT_SPECS)
-        best, improvements = -np.inf, 0
-        for i in range(restarts):
-            cand_seed = seed if i == 0 else np.random.SeedSequence((seed, i)).generate_state(1)[0]
-            d = pdist(lhs(n, l, int(cand_seed)).points).min()
-            improvements += d > best
-            best = max(best, d)
-        assert 1 < improvements < restarts  # both kinds of candidate occur
-        calls = []
-        monkeypatch.setattr("mgpkit.design.pdist", lambda x: calls.append(1) or pdist(x))
+        # maximin_lhs sweeps each candidate once, on cdist blocks of rows, and
+        # to the end only when it beats the best so far; the logged minimum
+        # distance is the winner's, with no sweep after the search
+        n, seed, restarts, l = 300, 2, 8, len(DEFAULT_SPECS)
+        cands = [lhs(n, l, int(seed if i == 0 else
+                               np.random.SeedSequence((seed, i)).generate_state(1)[0])).points
+                 for i in range(restarts)]
+        mins = [pdist(p).min() for p in cands]
+        improves = [d > max(mins[:i], default=-np.inf) for i, d in enumerate(mins)]
+        assert 1 < sum(improves) < restarts  # both kinds of candidate occur
+        sweep, cdist, entries = mgpkit.design._least_distance, mgpkit.design.cdist, []
+
+        def counted_sweep(points, bound=-np.inf):
+            entries.append(0)
+            return sweep(points, bound)
+
+        def counted_cdist(a, b):
+            entries[-1] += len(a) * len(b)
+            return cdist(a, b)
+
+        monkeypatch.setattr("mgpkit.design._least_distance", counted_sweep)
+        monkeypatch.setattr("mgpkit.design.cdist", counted_cdist)
+        full = []  # each candidate's unbounded sweep
+        for p in cands:
+            counted_sweep(p)
+            full.append(entries.pop())
         assert run(["design", "--n", str(n), "--seed", str(seed), "--restarts", str(restarts),
                     "--out", str(workdir / "d")]) == EXIT_OK
-        assert len(calls) == improvements
-        assert f"min_distance={best:.6g} " in capsys.readouterr().out
+        assert len(entries) == restarts
+        assert max(entries) < n * (n - 1) // 2  # no sweep measures every pair
+        for swept, in_full, better in zip(entries, full, improves):
+            assert swept == in_full if better else swept < in_full  # rejected ones stop early
+        assert f"min_distance={max(mins):.6g} " in capsys.readouterr().out
 
     def test_custom_specs_file(self, workdir, capsys):
         specs = workdir / "specs.csv"
@@ -185,6 +202,20 @@ class TestDesign:
         specs.write_text("a,zero,1\n")
         assert run(["design", "--n", "5", "--specs-file", str(specs),
                     "--out", str(workdir / "d")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("text, row", [
+        ("a,0,1,junk\n", "row 1"),  # once read as a, with junk dropped
+        ("name,lower,upper\na,0\n", "row 2"),
+        ("a,0,1\n,2,4\n", "row 2"),
+        ("a,0,1\nb,2,4\na,5,6\n", "row 3"),  # once written as a design with header a,b,a
+    ])
+    def test_specs_row_of_three_fields_with_a_new_name(self, workdir, capsys, text, row):
+        specs = workdir / "specs.csv"
+        specs.write_text(text)
+        assert run(["design", "--n", "5", "--specs-file", str(specs),
+                    "--out", str(workdir / "d")]) == EXIT_DATA
+        assert f"bad spec at {row}: expected a name not used before" in capsys.readouterr().err
+        assert not (workdir / "d_phys.csv").exists()
 
     def test_infinite_bound_is_data_error(self, workdir, capsys):
         # once written as inf in every row of d_phys.csv, with exit 0

@@ -113,18 +113,31 @@ class TestMaximinLhs:
                     assert np.array_equal(got.points, want.points)
                     assert got.min_distance() == want.min_distance()
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 40, 100, 500])
+    def test_sweep_with_duplicates_and_tied_distances(self):
+        pts = lhs(300, 6, seed=4).points
+        grid = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, 5)] * 3), axis=-1).reshape(-1, 3)
+        rng = np.random.default_rng(0)
+        for rows in (pts[[*range(300), 5, 170, 170]],  # four pairs at distance 0
+                     grid, grid[::-1], grid[rng.permutation(len(grid))]):  # ties at 0.25
+            low = pdist(rows).min()
+            assert mgpkit.design._least_distance(rows) == low
+            assert mgpkit.design._least_distance(rows, low) <= low
+            assert mgpkit.design._least_distance(rows, np.nextafter(low, -1.0)) == low
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 100, 500, 1000])
     def test_pair_check_is_exact_at_a_tie(self, n):
-        # True exactly when pdist's minimum is <= the bound, whatever the row order
+        # unbounded, or bounded by the next float below pdist's minimum, the sweep
+        # returns that minimum; bounded by it, a value within it; whatever the row order
         rng = np.random.default_rng(n)
         for l in (1, 2, 6, 8):
-            for seed in (0, 1):
+            for seed in (0, 1, 2):
                 pts = lhs(n, l, seed).points
                 low = pdist(pts).min()
                 for rows in (pts, pts[::-1], pts[rng.permutation(n)]):
-                    assert mgpkit.design._has_pair_within(rows, low)
-                    assert not mgpkit.design._has_pair_within(rows, np.nextafter(low, 0.0))
-                    assert mgpkit.design._has_pair_within(rows, 2.0 * low)
+                    assert mgpkit.design._least_distance(rows) == low
+                    assert mgpkit.design._least_distance(rows, low) <= low
+                    assert mgpkit.design._least_distance(rows, np.nextafter(low, 0.0)) == low
+                    assert mgpkit.design._least_distance(rows, 2.0 * low) <= 2.0 * low
 
     @pytest.mark.parametrize("l", [1, 2, 6])
     def test_pair_check_sees_a_pair_across_blocks(self, l):
@@ -137,14 +150,38 @@ class TestMaximinLhs:
         pts[:, 0] = np.concatenate([[0.0], np.cumsum(gaps)])
         pts = pts[np.random.default_rng(l).permutation(len(pts))]
         low = pdist(pts).min()
-        assert mgpkit.design._has_pair_within(pts, low)
-        assert not mgpkit.design._has_pair_within(pts, np.nextafter(low, 0.0))
+        assert mgpkit.design._least_distance(pts) == low
+        assert mgpkit.design._least_distance(pts, low) <= low
+        assert mgpkit.design._least_distance(pts, np.nextafter(low, 0.0)) == low
+
+    @pytest.mark.parametrize("l", [1, 2, 6])
+    def test_gap_equal_to_the_least_distance(self, l, monkeypatch):
+        # rows 1/128 apart along the first coordinate, exactly: every neighbour pair,
+        # across blocks too, is at a distance equal to its gap; bounded by that
+        # distance, the sweep stops after the first block
+        n = 2 * mgpkit.design._SWEEP_ROWS + 1
+        pts = np.full((n, l), 0.5)
+        pts[:, 0] = np.arange(n) / 128.0
+        pts = pts[np.random.default_rng(l).permutation(n)]
+        assert pdist(pts).min() == 1 / 128
+        calls, cdist = [], mgpkit.design.cdist
+        monkeypatch.setattr(mgpkit.design, "cdist", lambda a, b: calls.append(1) or cdist(a, b))
+        assert mgpkit.design._least_distance(pts) == 1 / 128
+        assert len(calls) == 3
+        calls.clear()
+        assert mgpkit.design._least_distance(pts, 1 / 128) == 1 / 128
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_min_distance_needs_two_points(self, n):
+        with pytest.raises(ValueError, match="at least 2 design points, got %d" % n):
+            DesignMatrix(np.full((n, 3), 0.5)).min_distance()
 
     @pytest.mark.parametrize("l", [1, 2, 6, 8])
     def test_cdist_rounds_every_pair_as_pdist(self, l):
-        # the pair check rejects a candidate on a cdist distance and maximin_lhs
-        # compares pdist minima: the two must agree bit for bit, in either row
-        # order and in any block of rows
+        # the sweep measures designs by cdist and must return pdist's minimum:
+        # the two must agree bit for bit, in either row order and in any block
+        # of rows
         for n in (7, 100, 500):
             pts = lhs(n, l, seed=n).points
             want = pdist(pts)
