@@ -47,6 +47,7 @@ from .plantsim import (
 )
 from .sensitivity import ee_plot_data, ee_ranking_text, ee_report, elementary_effects
 
+COMMANDS = ("design", "simulate", "fit", "predict", "compare", "sensitivity")
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -289,7 +290,8 @@ def cmd_sensitivity(args) -> int:
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str = None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, or ``command``'s alone: usage, help and errors read the same."""
     parser = argparse.ArgumentParser(
         prog="mgpkit",
         description="Multi-output GP surrogate toolkit for the virtual power plant benchmark.",
@@ -297,87 +299,92 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"mgpkit {__version__} (model format {MODEL_FORMAT_VERSION})")
     parser.add_argument("--config", help="key=value file supplying flag defaults")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # usage names the six as argparse does from their parsers; with those, no metavar: it
+    # would replace "command" in the error for a missing one
+    names = "{" + ",".join(COMMANDS) + "}" if command in COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
 
-    p = sub.add_parser("design", help="generate a maximin LHS design")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--specs-file", default=None)
-    p.add_argument("--out", default="design")
-    p.set_defaults(func=cmd_design)
+    def add(name, help_):  # a parser, or only a line of the help when another is built alone
+        if command not in COMMANDS or name == command:
+            return sub.add_parser(name, help=help_)
+        sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help_))
 
-    p = sub.add_parser("simulate", help="run the virtual plant on a design")
-    p.add_argument("--design", required=True)
-    p.add_argument("--test-design", default=None)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--coupling", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--specs-file", default=None)
-    p.add_argument("--out", default="train.csv")
-    p.add_argument("--test-out", default="test.csv")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", help="fit the MGP or independent GPs")
-    p.add_argument("--data", required=True)
-    p.add_argument("--basis", choices=["const", "linear", "quad"], default="const")
-    p.add_argument("--lambda", dest="lam", default="0")
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--mode", choices=["mgp", "independent"], default="mgp")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--specs-file", default=None)
-    p.add_argument("--out", default="model.json")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("predict", help="predict mean and 2-sd band at new points")
-    p.add_argument("--model", required=True)
-    p.add_argument("--points", required=True)
-    p.add_argument("--out", default="predictions.csv")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("compare", help="MGP vs independent-GP test RMSE")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--basis", choices=["const", "linear", "quad"], default="const")
-    p.add_argument("--lambda", dest="lam", default="0")
-    p.add_argument("--restarts", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--specs-file", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sensitivity", help="Morris elementary-effects screening")
-    p.add_argument("--target", default="plant", help="'plant' or a model JSON path")
-    p.add_argument("--r", type=int, default=10)
-    p.add_argument("--delta", type=float, default=0.3)
-    p.add_argument("--coupling", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--specs-file", default=None)
-    p.add_argument("--out", default="sensitivity")
-    p.set_defaults(func=cmd_sensitivity)
+    if p := add("design", "generate a maximin LHS design"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--restarts", type=int, default=20)
+        p.add_argument("--specs-file", default=None)
+        p.add_argument("--out", default="design")
+        p.set_defaults(func=cmd_design)
+    if p := add("simulate", "run the virtual plant on a design"):
+        p.add_argument("--design", required=True)
+        p.add_argument("--test-design", default=None)
+        p.add_argument("--reps", type=int, default=1)
+        p.add_argument("--noise", type=float, default=None)
+        p.add_argument("--coupling", type=float, default=1.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--specs-file", default=None)
+        p.add_argument("--out", default="train.csv")
+        p.add_argument("--test-out", default="test.csv")
+        p.set_defaults(func=cmd_simulate)
+    if p := add("fit", "fit the MGP or independent GPs"):
+        p.add_argument("--data", required=True)
+        p.add_argument("--basis", choices=["const", "linear", "quad"], default="const")
+        p.add_argument("--lambda", dest="lam", default="0")
+        p.add_argument("--restarts", type=int, default=5)
+        p.add_argument("--mode", choices=["mgp", "independent"], default="mgp")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--specs-file", default=None)
+        p.add_argument("--out", default="model.json")
+        p.set_defaults(func=cmd_fit)
+    if p := add("predict", "predict mean and 2-sd band at new points"):
+        p.add_argument("--model", required=True)
+        p.add_argument("--points", required=True)
+        p.add_argument("--out", default="predictions.csv")
+        p.set_defaults(func=cmd_predict)
+    if p := add("compare", "MGP vs independent-GP test RMSE"):
+        p.add_argument("--train", required=True)
+        p.add_argument("--test", required=True)
+        p.add_argument("--basis", choices=["const", "linear", "quad"], default="const")
+        p.add_argument("--lambda", dest="lam", default="0")
+        p.add_argument("--restarts", type=int, default=2)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--specs-file", default=None)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_compare)
+    if p := add("sensitivity", "Morris elementary-effects screening"):
+        p.add_argument("--target", default="plant", help="'plant' or a model JSON path")
+        p.add_argument("--r", type=int, default=10)
+        p.add_argument("--delta", type=float, default=0.3)
+        p.add_argument("--coupling", type=float, default=1.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--specs-file", default=None)
+        p.add_argument("--out", default="sensitivity")
+        p.set_defaults(func=cmd_sensitivity)
 
     return parser
 
 
-def _config_path(argv: list):
-    """The top-level --config value, read as the full parser reads it
-    (``--config=f`` and abbreviations such as ``--conf f`` included)."""
+def _preparse(argv: list) -> tuple:
+    """The top-level --config value and the subcommand, read as the full parser reads
+    them (``--config=f`` and abbreviations such as ``--conf f`` included)."""
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config")
     pre.add_argument("command", nargs=argparse.REMAINDER)  # subcommand flags are not ours
     try:
-        return pre.parse_known_args(argv)[0].config
+        args = pre.parse_known_args(argv)[0]
     except argparse.ArgumentError:
-        return None  # a malformed --config is left for the full parser to report
+        return None, None  # a malformed --config is left for the full parser to report
+    return args.config, args.command[0] if args.command else None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # --config is read first so its values become flag defaults (flags still win)
-        cfg_path = _config_path(argv)
+        # --config is read first so its values become flag defaults (flags still win); as
+        # its keys may name any subcommand's flags, all six are built then
+        cfg_path, command = _preparse(argv)
+        parser = build_parser(command if cfg_path is None else None)
         if cfg_path is not None:
             _apply_config(parser, _load_config_file(cfg_path))
         args = parser.parse_args(argv)

@@ -226,19 +226,26 @@ def pair_constants(sigma, phi, t, ii, jj):
     return phi_ends, harmonic_precisions(pi, pj), mean_normalizer(pi, pj), s, s * t[ii, jj]
 
 
+def pair_groups(design: list) -> tuple:
+    """The pairs i <= j of K outputs as (ii, jj), and their groups on the same two point sets,
+    {(design[i], design[j]): pair indices} with ``design`` from :func:`design_of`."""
+    ii, jj = np.triu_indices(len(design))
+    groups = {}
+    for p, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        groups.setdefault((design[i], design[j]), []).append(p)
+    return ii, jj, groups
+
+
 class OutputPairs:
     """The pairs i <= j of K point sets, row by row, in groups on the same two
-    point sets (:func:`design_of`): (pair indices, squared differences as
+    point sets (:func:`pair_groups`): (pair indices, squared differences as
     (n_a n_b x l), and the rows (G x n_a) and columns (G x n_b) of the
     group's blocks of the stacked covariance)."""
 
     def __init__(self, xs: list):
-        self.ii, self.jj = np.triu_indices(len(xs))
+        self.ii, self.jj, members = pair_groups(design_of(xs))
         o = np.concatenate([[0], np.cumsum([len(x) for x in xs])])
         self.size = o[-1]
-        design, members = design_of(xs), {}
-        for p, (i, j) in enumerate(zip(self.ii, self.jj)):
-            members.setdefault((design[i], design[j]), []).append(p)
         # consecutive pairs, as when all outputs share one design, index as a slice: no copies
         self.groups = [(slice(ps[0], ps[-1] + 1) if ps[-1] - ps[0] == len(ps) - 1 else np.array(ps),
                         sq_diffs(xs[a], xs[b]).reshape(-1, xs[a].shape[1]),

@@ -7,6 +7,7 @@ units through :func:`scale_design` with a list of :class:`InputSpec`.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,26 +238,38 @@ def format_csv_rows(table: np.ndarray) -> str:
 def read_design_csv(path, specs: list[InputSpec]) -> DesignMatrix:
     """Read a design CSV (unit or physical, detected from the header prefix).
 
-    Points outside the input ranges are rejected, not clipped; a row of the
-    wrong length or with a non-finite value is named in the error.
+    Points outside the input ranges are rejected, not clipped; a header mixing ``u_``
+    and plain names, and a row of the wrong length or with a non-finite value, is named.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+        header = next(csv.reader(fh), None)
+        body = fh.read()
+    if header is None:
         raise ValueError(f"{path}: empty design file")
-    header = rows[0]
     is_unit = all(h.startswith("u_") for h in header)
-    data = []
-    for i, row in enumerate(rows[1:], start=2):
+    if not is_unit and any(h.startswith("u_") for h in header):
+        raise ValueError(f"{path}: header {header} mixes unit (u_) and physical column names")
+    # numpy's C reader converts each cell as float() does; lines end at \n, \r\n or \r
+    lines = body.count("\n") + body.count("\r") - body.count("\r\n") + (body[-1:] not in "\r\n")
+    arr = None
+    if body.strip():  # numpy would warn of a body of blank lines: the loop below rejects it
         try:
-            data.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad value at row {i}: {exc}") from exc
-        if len(row) != len(specs):
-            raise ValueError(f"{path}: row {i} has {len(row)} values, expected {len(specs)}")
-    if not data:
-        raise ValueError(f"{path}: design file has no points")
-    arr = np.array(data)
+            arr = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if arr is None or arr.shape != (lines, len(specs)):
+        # what it rejects or reads otherwise (quoted cells, blank lines it skips): row by row
+        data = []
+        for i, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+            try:
+                data.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad value at row {i}: {exc}") from exc
+            if len(row) != len(specs):
+                raise ValueError(f"{path}: row {i} has {len(row)} values, expected {len(specs)}")
+        if not data:
+            raise ValueError(f"{path}: design file has no points")
+        arr = np.array(data)
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if len(bad):
         raise ValueError(f"{path}: non-finite value at row {bad[0] + 2}")

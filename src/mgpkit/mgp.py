@@ -20,7 +20,7 @@ from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtri
 
 from .covkernel import (CrossCorrAngles, CrossCorrMatrix, MarginalSds, OutputPairs, RoughnessParams,
-                        angles_to_corr, corr_and_angle_grads, corr_to_angles, design_of,
+                        angles_to_corr, corr_and_angle_grads, corr_to_angles, design_of, pair_groups,
                         kernels_from_sq_diffs, n_angles, pair_constants, sq_diffs)
 # not called here; kept as mgp.cov_matrix and mgp.cross_cov_block, which span tracers wrap
 from .covkernel import cov_matrix, cross_cov_block  # noqa: F401
@@ -758,9 +758,10 @@ def predict_batch(model: FittedModel, x: np.ndarray, sd: bool = True) -> tuple:
     o at query row i with every training point, so one triangular product
     L⁻¹ r' gives every variance of the block, through ‖L⁻¹ r_i‖² = r_i' Cz⁻¹ r_i.
     Each distinct training design (:attr:`Dataset.design_of`) gets one
-    squared-difference tensor per block, and outputs o and j on one design
-    share the kernel of (o, j) and (j, o), whose constants are bit for bit
-    the same.  Non-finite query points raise ValueError.
+    squared-difference tensor per block, and each of the engine's pair groups
+    (:func:`pair_groups`) one kernel product per design it ends on, which fills
+    the blocks of (i, j) and (j, i): r at a training point is C's row, bit for
+    bit.  Non-finite query points raise ValueError.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
@@ -768,10 +769,10 @@ def predict_batch(model: FittedModel, x: np.ndarray, sd: bool = True) -> tuple:
     data, p = model.data, model.params
     k, sigma, design = data.k, p.sigma.sigma, data.design_of
     offs = np.concatenate([[0], np.cumsum([xj.shape[0] for xj in data.x])])
-    # H, normalizer and scale of each output pair (o, j), at index o*k + j;
-    # the same for every block
-    oo, jj = np.divmod(np.arange(k * k), k)
-    _, harm, norm, _, st = pair_constants(sigma, p.phi.phi, p.t.t, oo, jj)
+    # H, normalizer and scale of each pair i <= j; the same for every block
+    ii, jj, groups = pair_groups(design)
+    _, harm, norm, _, st = pair_constants(sigma, p.phi.phi, p.t.t, ii, jj)
+    ii, jj = ii.tolist(), jj.tolist()
     beta = np.column_stack(p.beta)
     means = np.empty((x.shape[0], k))
     sds = np.empty((x.shape[0], k)) if sd else None
@@ -780,15 +781,15 @@ def predict_batch(model: FittedModel, x: np.ndarray, sd: bool = True) -> tuple:
         b = len(xb)
         r = np.empty((k * b, offs[-1]))
         d2 = {q: sq_diffs(xb, data.x[q]).reshape(-1, data.l) for q in set(design)}
-        for oj, (o, j) in enumerate(zip(oo.tolist(), jj.tolist())):
-            if j < o and design[j] == design[o]:
-                continue  # written with (j, o)
-            # one pair per product, as cross_cov_block makes it; on one design
-            # it is also the block of (j, o): {row output: column output}
-            e = kernels_from_sq_diffs(d2[design[j]], harm[oj : oj + 1], norm[oj : oj + 1])
-            for row, col in ({o: j, j: o} if design[j] == design[o] else {o: j}).items():
-                np.multiply(st[oj], e.reshape(b, -1),
-                            out=r[row * b : (row + 1) * b, offs[col] : offs[col + 1]])
+        for (da, db), ps in groups.items():
+            # query rows of i against the points of j (design db) and of j against i's (da)
+            e = {q: kernels_from_sq_diffs(d2[q], harm[ps], norm[ps]).reshape(len(ps), b, -1)
+                 for q in {da, db}}
+            for g, pair in enumerate(ps):
+                i, j = ii[pair], jj[pair]
+                for row, col, q in {(i, j, db), (j, i, da)}:  # one block when i == j
+                    np.multiply(st[pair], e[q][g],
+                                out=r[row * b : (row + 1) * b, offs[col] : offs[col + 1]])
         mean_std = model.basis.evaluate(xb) @ beta + (r @ model.alpha).reshape(k, -1).T
         means[lo : lo + b] = model.y_mean + model.y_scale * mean_std
         if sd:

@@ -87,6 +87,31 @@ class TestTopLevel:
     def test_missing_required_is_usage_error(self):
         assert run(["simulate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", mgpkit.cli.COMMANDS)
+    def test_one_subcommands_parser_reads_as_all_six(self, command):
+        # the others take no flags, but the top level lists all six as before
+        def texts(parser):
+            sub = parser._subparsers._group_actions[0].choices[command]
+            return [p.format_usage() + p.format_help() for p in (parser, sub)]
+
+        assert texts(mgpkit.cli.build_parser(command)) == texts(mgpkit.cli.build_parser())
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h", "fit"], ["--version"], ["bogus"], ["fit", "--bogus"],
+        ["design", "--n", "4", "--bogus"], ["predict", "--model", "m.json"], ["predict", "-h"],
+        ["--config", "run.cfg", "design", "--n", "4"]], ids=[
+        "no-command", "help", "help-before-command", "version", "unknown-command", "unknown-flag",
+        "unknown-flag-after-values", "missing-required", "subcommand-help", "unknown-config-key"])
+    def test_main_reads_argv_as_with_all_six(self, workdir, capsys, monkeypatch, argv):
+        (workdir / "run.cfg").write_text("restartz = 3\n")
+        code = run(argv)
+        seen = capsys.readouterr()
+        full = mgpkit.cli.build_parser
+        monkeypatch.setattr(mgpkit.cli, "build_parser", lambda command=None: full())
+        assert (code, seen) == (run(argv), capsys.readouterr())
+        assert code == (EXIT_DATA if "--config" in argv else
+                        EXIT_OK if {"--help", "-h", "--version"} & set(argv) else EXIT_USAGE)
+
 
 # run in a fresh interpreter, as every command is: this module itself loads scipy.spatial
 IMPORT_PROBE = """

@@ -308,6 +308,54 @@ class TestDesignCsv:
         with pytest.raises(ValueError, match=f"row 3 has {m} values, expected 2"):
             read_design_csv(path, TABLE_SPECS[:2])
 
+    @pytest.mark.parametrize("text, expected", [
+        ("u_a,u_b\r\n0.1,0.2\r\n0.3,0.4\r\n", [[0.1, 0.2], [0.3, 0.4]]),
+        ('u_a,u_b\n0.1,"0.2"\n0.3,0.4\n', [[0.1, 0.2], [0.3, 0.4]]),
+        ("u_a,u_b\n0.1,0.2\n\n0.3,0.4\n", "row 3 has 0 values, expected 2"),
+        ("u_a,u_b\n0.1,0.2,\n0.3,0.4\n",
+         "bad value at row 2: could not convert string to float: ''"),
+        ("u_a,u_b\n0.1,0.2\n# note\n0.3,0.4\n",
+         "bad value at row 3: could not convert string to float: '# note'"),
+        ("u_a,u_b\n", "design file has no points"),
+        ("", "empty design file"),
+    ], ids=["crlf", "quoted-cell", "blank-line", "trailing-empty-field", "hash-line",
+            "header-only", "empty"])
+    def test_reader_accepts_and_rejects_as_the_csv_loop(self, tmp_path, text, expected):
+        # numpy's reader parses the body; what it cannot read, or reads by
+        # skipping a blank line, goes through the row-by-row loop, whose
+        # messages these are
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                read_design_csv(path, TABLE_SPECS[:2])
+            assert str(err.value) == f"{path}: {expected}"
+        else:
+            assert read_design_csv(path, TABLE_SPECS[:2]).points.tolist() == expected
+
+    def test_header_mixing_unit_and_physical_names_is_rejected(self, tmp_path):
+        # once read as physical units: (0.5, 0.5) on [0, 2] gave the point (0.25, 0.25)
+        specs = [InputSpec("a", 0.0, 2.0), InputSpec("b", 0.0, 2.0)]
+        path = tmp_path / "d.csv"
+        path.write_text("u_a,b\n0.5,0.5\n")
+        with pytest.raises(ValueError) as err:
+            read_design_csv(path, specs)
+        assert str(err.value) == (f"{path}: header ['u_a', 'b'] mixes unit (u_) and physical "
+                                  "column names")
+        path.write_text("a,b\n0.5,0.5\n")
+        assert read_design_csv(path, specs).points.tolist() == [[0.25, 0.25]]
+
+    def test_numpy_reader_gives_the_csv_loops_points(self, tmp_path):
+        # bit for bit, on a unit and a physical file as `mgpkit design` writes them
+        d = lhs(300, 6, seed=3)
+        for unit in (True, False):
+            path = tmp_path / f"d{unit}.csv"
+            write_design_csv(path, d, TABLE_SPECS, unit=unit)
+            with open(path, newline="") as fh:
+                rows = np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+            expected = rows if unit else unscale_points(rows, TABLE_SPECS)
+            assert np.array_equal(read_design_csv(path, TABLE_SPECS).points, expected)
+
 
 def test_input_spec_rejects_inverted_range():
     with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from mgpkit.covkernel import (
     angles_to_corr,
     corr_and_angle_grads,
     cov_matrix,
-    cross_cov_block,
     harmonic_precisions,
     mean_normalizer,
 )
@@ -1023,18 +1022,24 @@ class TestLoglikEngine:
             CrossCorrAngles(omega, k)  # raises on any angle outside (0, pi)
 
 
-def per_pair_predict_batch(model, x):
-    """predict_batch assembled from K^2 cross_cov_block calls and np.block,
-    with the same blocking and product with L⁻¹: the reference for bit-equality."""
+def sliced_cov_predict_batch(model, x):
+    """predict_batch with each block's cross-covariance sliced from cov_matrix over
+    [query block; training points] of every output, which groups its pairs as the
+    engine does, and the same blocking and product with L⁻¹: the reference for
+    bit-equality."""
     data, p = model.data, model.params
-    k, t = data.k, p.t
+    k = data.k
     beta = np.column_stack(p.beta)
     means, sds = np.empty((len(x), k)), np.empty((len(x), k))
     rows = mgpkit.mgp.PREDICT_BLOCK_ROWS
     for lo in range(0, len(x), rows):
         xb = x[lo : lo + rows]
-        r = np.block([[cross_cov_block(xb, data.x[j], o, j, p.sigma, p.phi, t) for j in range(k)]
-                      for o in range(k)])
+        full = cov_matrix([np.vstack([xb, xi]) for xi in data.x], p.sigma, p.phi, p.t)
+        starts = np.concatenate([[0], np.cumsum([len(xb) + len(xi) for xi in data.x])])
+        # C-ordered as predict_batch's r: a product's bits depend on the layout too
+        r = np.ascontiguousarray(np.block(
+            [[full[starts[o] : starts[o] + len(xb), starts[j] + len(xb) : starts[j + 1]]
+              for j in range(k)] for o in range(k)]))
         mean_std = model.basis.evaluate(xb) @ beta + (r @ model.alpha).reshape(k, -1).T
         v = dtrmm(1.0, model.chol_inv, r.T, lower=1)
         var_std = p.sigma.sigma ** 2 + p.nugget - data.reps * (v * v).sum(axis=0).reshape(k, -1).T
@@ -1191,10 +1196,9 @@ class TestBatchedPrediction:
         model.y_scale = rng.uniform(0.5, 3.0, size=k)
         xq = rng.uniform(-0.1, 1.1, size=(11, l))
         mean, sd = predict_batch(model, xq)
-        ref_mean, ref_sd = per_pair_predict_batch(model, xq)
+        ref_mean, ref_sd = sliced_cov_predict_batch(model, xq)
         assert np.array_equal(mean, ref_mean)
         assert np.array_equal(sd, ref_sd)
-
 
     @pytest.mark.parametrize("sizes, reps, shared", [((5, 9, 7), 2, False), ((8,), 1, False),
                                                      ((7, 7, 7), 2, True)],
@@ -1217,13 +1221,15 @@ class TestBatchedPrediction:
         assert sd is None
         assert np.array_equal(mean, predict_batch(model, xq)[0])
 
-    @pytest.mark.parametrize("designs, calls, kernels", [((0, 0, 0), 3, 6), ((0, 1, 0), 6, 8)],
+    @pytest.mark.parametrize("designs, calls, kernels", [((0, 0, 0), 3, 1), ((0, 1, 0), 6, 6)],
                              ids=["isotopic-k3", "two-designs-k3"])
     def test_one_sq_diffs_per_block_per_distinct_design(self, monkeypatch, designs, calls,
                                                         kernels):
         # 11 query rows in blocks of 4 make three blocks; outputs on equal
-        # copies of one point set share its squared differences, and the
-        # kernel of (o, j) fills (j, o) too: one per unordered pair on one design
+        # copies of one point set share its squared differences, and each of
+        # the engine's pair groups takes one kernel product per design it ends
+        # on: one group of 6 pairs on (0, 0, 0); on (0, 1, 0) the groups of
+        # pairs on designs (0, 0) and (1, 1) take one each, (0, 1) and (1, 0) two
         monkeypatch.setattr("mgpkit.mgp.PREDICT_BLOCK_ROWS", 4)
         rng = np.random.default_rng(30)
         k, l, reps = 3, 2, 2
@@ -1253,9 +1259,39 @@ class TestBatchedPrediction:
         mean, sd = predict_batch(model, xq)
         assert len(d2_calls) == calls
         assert len(kernel_calls) == 3 * kernels
-        ref_mean, ref_sd = per_pair_predict_batch(model, xq)
+        ref_mean, ref_sd = sliced_cov_predict_batch(model, xq)
         assert np.array_equal(mean, ref_mean)
         assert np.array_equal(sd, ref_sd)
+
+    @pytest.mark.parametrize("designs", [(0, 0, 0), (0, 1, 0), (0, 1, 2)],
+                             ids=["isotopic-k3", "two-designs-k3", "heterotopic-k3"])
+    def test_cross_covariance_at_training_points_is_the_engines(self, monkeypatch, designs):
+        # queried at output o's training points, the rows of o in each block's
+        # cross-covariance are o's rows of the engine's C, bit for bit
+        monkeypatch.setattr("mgpkit.mgp.PREDICT_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(31)
+        k, l, reps = 3, 2, 2
+        points = [rng.uniform(size=(n, l)) for n in (7, 5, 9)]
+        xs = [points[q].copy() for q in designs]
+        ys = [rng.normal(size=len(xi) * reps) for xi in xs]
+        data = Dataset(UNIT_SPECS_2D, xs, ys, reps, ["a", "b", "c"])
+        engine = _LoglikEngine(data, RegressionBasis("linear"))
+        params = make_params(k, l, 3, rng, nugget=0.2)
+        model = engine.condition(params)
+        c = engine._c(params.sigma.sigma, params.phi.phi, params.t.t)[0]
+        offs = np.concatenate([[0], np.cumsum([len(xi) for xi in xs])])
+        dtrmm_, blocks = mgpkit.mgp.dtrmm, []
+
+        def capturing_dtrmm(alpha, a, b, **kwargs):
+            blocks.append(b.T.copy())  # r, before the product overwrites it
+            return dtrmm_(alpha, a, b, **kwargs)
+
+        monkeypatch.setattr("mgpkit.mgp.dtrmm", capturing_dtrmm)
+        for o in range(k):
+            blocks.clear()
+            predict_batch(model, xs[o])
+            rows = np.vstack([r.reshape(k, -1, offs[-1])[o] for r in blocks])
+            assert np.array_equal(rows, c[offs[o] : offs[o + 1]])
 
 
 class TestRmse:
